@@ -26,7 +26,6 @@ from .geometry import (
     StiefelPoint,
     TangentVector,
     cayley_retract,
-    cayley_retract_raw,
     dual_metric,
     dual_norm,
     geodesic_retract,
@@ -38,7 +37,7 @@ from .geometry import (
     random_point,
     retract_inverse,
 )
-from .linalg import jacobi_eigh, matmul, qr_thin, solve_square
+from .linalg import jacobi_eigh, qr_thin, solve_square
 from .objectives import (
     DenseOperator,
     DiagonalOperator,
@@ -46,7 +45,6 @@ from .objectives import (
     ObjectiveSpec,
     SpectrumInfo,
     brockett_condition_number,
-    evaluate,
     known_minimum,
     make_objective,
     optimal_condition_number,

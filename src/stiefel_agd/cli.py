@@ -55,16 +55,18 @@ def _weights_arg(text: str):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10,
+    defaults = SolverConfig()
+    p.add_argument("--tol", type=float, default=defaults.epsilon,
                    help="relative gradient-norm stopping tolerance")
-    p.add_argument("--gamma0", type=float, default=0.1, help="initial step size")
-    p.add_argument("--lambda-d", type=float, default=1.7,
+    p.add_argument("--gamma0", type=float, default=defaults.gamma0,
+                   help="initial step size")
+    p.add_argument("--lambda-d", type=float, default=defaults.lambda_d,
                    help="line-search growth/shrink factor")
-    p.add_argument("--c-l", type=float, default=0.7,
+    p.add_argument("--c-l", type=float, default=defaults.c_l,
                    help="line-search growth threshold, in (1/2, 1)")
-    p.add_argument("--c-r", type=float, default=0.01,
+    p.add_argument("--c-r", type=float, default=defaults.c_r,
                    help="function-restart sufficient-decrease parameter")
-    p.add_argument("--max-iter", type=int, default=1_000_000,
+    p.add_argument("--max-iter", type=int, default=defaults.max_iter,
                    help="iteration budget per run")
 
 

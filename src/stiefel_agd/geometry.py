@@ -213,7 +213,7 @@ def cayley_retract(base: StiefelPoint, w: DualTangentVector, scale: float) -> St
         return base
     x = base.x
     ws = (0.5 * scale) * w.w
-    u = np.hstack((ws, x))
+    u = np.concatenate((ws, x), axis=1)
     m2 = u.shape[1]
     # Z^T U and Z^T X assembled blockwise, Z = [X, -scale*W/2]
     k = base.k
@@ -224,7 +224,7 @@ def cayley_retract(base: StiefelPoint, w: DualTangentVector, scale: float) -> St
     ztu[:k, k:] = xtx
     ztu[k:, :k] = -(ws.T @ ws)
     ztu[k:, k:] = -xtws.T
-    ztx = np.vstack((xtx, -xtws.T))
+    ztx = np.concatenate((xtx, -xtws.T))
     try:
         s = solve_square(np.eye(m2) - ztu, ztx)
     except SingularMatrixError as exc:
@@ -232,12 +232,6 @@ def cayley_retract(base: StiefelPoint, w: DualTangentVector, scale: float) -> St
             f"Cayley solve failed at step scale {scale!r}: {exc}"
         ) from exc
     return StiefelPoint(x + 2.0 * (u @ s))
-
-
-def cayley_retract_raw(base: StiefelPoint, raw, scale: float) -> StiefelPoint:
-    """Convenience wrapper: project ``raw`` onto the dual tangent space at
-    ``base`` and apply the Cayley retraction."""
-    return cayley_retract(base, project_dual(base, raw), scale)
 
 
 def geodesic_retract(base: StiefelPoint, w: DualTangentVector, t: float) -> StiefelPoint:

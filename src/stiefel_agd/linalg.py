@@ -1,18 +1,16 @@
 """Minimal dense linear algebra surface used by the geometry and solvers.
 
 Matrices are 2-D float64 numpy arrays in row-major (C) order throughout the
-package. ``matmul``, ``solve_square`` and ``qr_thin`` delegate to
-numpy/scipy (LAPACK) behind this surface; ``jacobi_eigh`` is a
+package. ``solve_square`` and ``qr_thin`` delegate to numpy/scipy
+(LAPACK) behind this surface; ``jacobi_eigh`` is a
 self-contained cyclic Jacobi eigensolver kept around as an independent
 oracle for test-scale symmetric problems.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NotSymmetricError, RankDeficientError, SingularMatrixError
 
@@ -34,15 +32,6 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with an explicit dimension check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D arrays")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def solve_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for square a via LU with partial pivoting.
 
@@ -56,16 +45,20 @@ def solve_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != a.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     m = a.shape[0]
-    with warnings.catch_warnings():
-        # singularity is detected from the pivots below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    # the LAPACK routines behind scipy.linalg.lu_factor/lu_solve, called
+    # directly: the wrappers cost several times the solve at this size
+    lu, piv, info = dgetrf(a)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to dgetrf")
     pivots = np.abs(np.diag(lu))
     if not np.all(pivots > m * _EPS * max(pivots.max(), 1e-300)):
         raise SingularMatrixError(
             f"{m}x{m} system is singular to working precision"
         )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    x, info = dgetrs(lu, piv, b)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to dgetrs")
+    return x
 
 
 def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

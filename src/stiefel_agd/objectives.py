@@ -95,12 +95,10 @@ class DenseOperator:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value and dual-tangent gradient at a point, plus the raw Euclidean
-    gradient A X diag(alpha) the projection was computed from."""
+    """Value and dual-tangent gradient at a point."""
 
     value: float
     grad: DualTangentVector
-    euclidean_grad: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -153,12 +151,7 @@ class ObjectiveSpec:
         ax = self.operator.apply(x.x)
         value = 0.5 * float(np.einsum("ij,ij,j->", x.x, ax, self.weights))
         euclid = ax * self.weights[None, :]
-        return EvalResult(value, project_dual(x, euclid), euclid)
-
-
-def evaluate(spec: ObjectiveSpec, x: StiefelPoint) -> EvalResult:
-    """Functional form of ObjectiveSpec.value_and_gradient."""
-    return spec.value_and_gradient(x)
+        return EvalResult(value, project_dual(x, euclid))
 
 
 def sphere_condition_number(spectrum: SpectrumInfo) -> float:

@@ -1,38 +1,42 @@
 """First-order solvers on the Stiefel manifold.
 
-All three solvers share the same two-sided Armijo line search: from the
-look-ahead point Y the step X+ = R(Y, -gamma grad f(Y)) is recomputed
-while gamma is first grown (as long as the decrease beats the stronger
-c_L threshold) and then shrunk (until the Armijo 1/2 threshold holds):
+The three solvers run one loop and differ only in its restart rule. Each
+pass takes a two-sided Armijo line search from the look-ahead point Y:
+the step X+ = R(Y, -gamma grad f(Y)) is recomputed while gamma is first
+grown (as long as the decrease beats the stronger c_L threshold) and then
+shrunk (until the Armijo 1/2 threshold holds):
 
     f(X+) <= f(Y) - (gamma/2) ||grad f(Y)||_{g*}^2.
 
 Requiring c_L > 1/2 means no gamma can trigger both loops, so the search
 terminates; the accepted gamma is carried into the next iteration.
 
-``gradient_descent`` is the baseline: Y is always the current iterate.
+The restart rule then decides whether the step is kept:
 
-The accelerated variants add the inverse-retraction momentum step. After
-an accepted step from Y_t produced X_{t+1}, the displacement is recovered
-as the dual vector V_t with R(X_t, raise(V_t)) = X_{t+1} and the next
-look-ahead point extrapolates along it:
-
-    Y_{t+1} = R(X_t, (1 + k/(k+3)) raise(V_t)),
-
-where k counts momentum steps since the last restart. Restart conditions:
-
-  * function restart: f(X_{t+1}) > f(X_t) - c_R gamma_t ||grad f(Y_t)||^2
+  * none (``gradient_descent``): every step is kept and the next
+    look-ahead point is the new iterate itself, so there is no momentum;
+  * function restart (``agd_function_restart``):
+    f(X_{t+1}) > f(X_t) - c_R gamma_t ||grad f(Y_t)||^2
     (insufficient decrease);
-  * gradient restart: <grad f(Y_t), W_t>_{g*} < -gamma_t ||grad f(Y_t)||^2
+  * gradient restart (``agd_gradient_restart``):
+    <grad f(Y_t), W_t>_{g*} < -gamma_t ||grad f(Y_t)||^2
     with W_t the dual vector at Y_t pointing back to X_t (momentum
     opposing descent).
 
-On restart the candidate step is discarded, Y snaps back to X_t and k
-resets to 0. Both solvers stop on the relative criterion
-||grad f|| <= epsilon ||grad f(X_0)||, evaluated at the most recent
-gradient point (the current iterate for gradient descent and right after
-restarts, the look-ahead point otherwise); each pass through the loop
-costs exactly one gradient evaluation.
+Under the two restart rules a kept step X_{t+1} is followed by the
+momentum extrapolation along the Cayley curve through X_t and X_{t+1}:
+with V_t the dual vector solving R(X_t, raise(V_t)) = X_{t+1},
+
+    Y_{t+1} = R(X_t, (1 + k/(k+3)) raise(V_t)),
+
+where k counts momentum steps since the last restart. A restart discards
+the candidate step, Y snaps back to X_t and k resets to 0.
+
+Every solver stops on the relative criterion ||grad f|| <= epsilon
+||grad f(X_0)||, evaluated at the most recent gradient point Y (the
+current iterate for gradient descent and right after restarts, the
+look-ahead point otherwise); each pass through the loop costs exactly
+one gradient evaluation.
 """
 
 from __future__ import annotations
@@ -49,12 +53,20 @@ from .geometry import (
     cayley_retract,
     dual_metric,
     dual_norm,
+    lerp,
     retract_inverse,
 )
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 LINE_SEARCH_FAILED = "line_search_failed"
+
+#: Line-search trials allowed in one pass before the run stops with
+#: LINE_SEARCH_FAILED.
+LINESEARCH_TRIALS = 60
+
+#: Momentum schedule of both accelerated solvers: q_t = t.
+_SCHEDULE = MomentumSchedule()
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,9 @@ class SolverConfig:
 
     c_l must lie in (1/2, 1) so the two line-search loops cannot fire on
     the same step size; c_r must lie in (0, 1/2) so the Armijo decrease
-    guarantees the first step after any restart is accepted.
+    guarantees the first step after any restart is accepted. The line
+    search has a fixed budget of ``LINESEARCH_TRIALS`` (60) trials per
+    pass.
     """
 
     gamma0: float = 0.1
@@ -71,8 +85,7 @@ class SolverConfig:
     c_l: float = 0.7
     c_r: float = 0.01
     epsilon: float = 1e-10
-    max_iter: int = 100_000
-    max_linesearch_steps: int = 60
+    max_iter: int = 1_000_000
 
     def __post_init__(self):
         if self.gamma0 <= 0.0:
@@ -85,7 +98,7 @@ class SolverConfig:
             raise ValueError("c_r must lie in (0, 1/2)")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if self.max_iter < 0 or self.max_linesearch_steps < 1:
+        if self.max_iter < 0:
             raise ValueError("invalid iteration budget")
 
 
@@ -157,28 +170,24 @@ def line_search(
     grad_y: DualTangentVector,
     gamma_in: float,
     config: SolverConfig,
-    f_y: float | None = None,
-    grad_norm_sq: float | None = None,
+    f_y: float,
+    grad_norm_sq: float,
 ) -> tuple[float, StiefelPoint, float, int]:
     """Two-sided Armijo line search along -grad f(y).
 
-    Returns (gamma, x_next, f_next, trials) with
-    f_next <= f_y - (gamma/2) ||grad f(y)||_{g*}^2. ``f_y`` and
-    ``grad_norm_sq`` may be passed to reuse cached evaluations; each trial
-    point costs one objective value. Raises LineSearchFailedError once
-    ``config.max_linesearch_steps`` trials are spent.
+    ``f_y`` and ``grad_norm_sq`` are f(y) and ||grad f(y)||_{g*}^2 from
+    the caller's evaluation at y. Returns (gamma, x_next, f_next, trials)
+    with f_next <= f_y - (gamma/2) grad_norm_sq; each trial point costs
+    one objective value. Raises LineSearchFailedError once
+    ``LINESEARCH_TRIALS`` trials are spent.
     """
-    if f_y is None:
-        f_y = objective.value(y)
-    if grad_norm_sq is None:
-        grad_norm_sq = dual_metric(grad_y, grad_y)
     if grad_norm_sq <= 0.0:
         raise ValueError("line search needs a nonzero gradient")
     if gamma_in <= 0.0:
         raise ValueError("gamma_in must be positive")
 
     gamma = gamma_in
-    budget = config.max_linesearch_steps
+    budget = LINESEARCH_TRIALS
 
     def trial(g: float) -> tuple[StiefelPoint | None, float]:
         try:
@@ -209,78 +218,24 @@ def line_search(
 
 def gradient_descent(objective, x0: StiefelPoint, config: SolverConfig) -> RunTrace:
     """Line-searched Riemannian gradient descent (no momentum)."""
-    obj = _CountingObjective(objective)
-    start = time.perf_counter()
-    trace = RunTrace()
-
-    res = obj.value_and_gradient(x0)
-    x, f_x, grad = x0, res.value, res.grad
-    gn = dual_norm(grad)
-    g0 = gn
-    gamma = config.gamma0
-    trace.initial_value = f_x
-    trace.initial_grad_norm = g0
-    trace.max_orth_drift = x0.orth_error
-
-    while True:
-        if gn <= config.epsilon * g0:
-            trace.termination = CONVERGED
-            break
-        if trace.iterations >= config.max_iter:
-            trace.termination = MAX_ITERATIONS
-            break
-        try:
-            gamma, x_next, f_next, _ = line_search(
-                obj, x, grad, gamma, config, f_y=f_x, grad_norm_sq=gn * gn
-            )
-        except LineSearchFailedError:
-            trace.termination = LINE_SEARCH_FAILED
-            break
-        driving_gn = gn
-        x, f_x = x_next, f_next
-        res = obj.value_and_gradient(x)
-        f_x, grad = res.value, res.grad
-        gn = dual_norm(grad)
-        trace.records.append(
-            IterationRecord(trace.iterations, f_x, driving_gn, gamma, False, 0)
-        )
-        trace.iterations += 1
-        trace.max_orth_drift = max(trace.max_orth_drift, x.orth_error)
-
-    trace.final_point = x
-    trace.final_value = f_x
-    trace.final_grad_norm = gn
-    trace.f_evals = obj.value_calls
-    trace.g_evals = obj.gradient_calls
-    trace.wall_time = time.perf_counter() - start
-    return trace
+    return _run(objective, x0, config, restart=None)
 
 
-def agd_function_restart(
-    objective,
-    x0: StiefelPoint,
-    config: SolverConfig,
-    schedule: MomentumSchedule | None = None,
-) -> RunTrace:
+def agd_function_restart(objective, x0: StiefelPoint, config: SolverConfig) -> RunTrace:
     """Accelerated gradient descent with the sufficient-decrease
     (function) restart condition."""
-    return _accelerated(objective, x0, config, schedule, gradient_restart=False)
+    return _run(objective, x0, config, restart="function")
 
 
-def agd_gradient_restart(
-    objective,
-    x0: StiefelPoint,
-    config: SolverConfig,
-    schedule: MomentumSchedule | None = None,
-) -> RunTrace:
+def agd_gradient_restart(objective, x0: StiefelPoint, config: SolverConfig) -> RunTrace:
     """Accelerated gradient descent with the momentum-opposes-descent
     (gradient) restart condition."""
-    return _accelerated(objective, x0, config, schedule, gradient_restart=True)
+    return _run(objective, x0, config, restart="gradient")
 
 
-def _accelerated(objective, x0, config, schedule, gradient_restart: bool) -> RunTrace:
-    if schedule is None:
-        schedule = MomentumSchedule()
+def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None) -> RunTrace:
+    """The pass loop of all three solvers. ``restart`` is None (gradient
+    descent: no momentum, never a restart), "function" or "gradient"."""
     obj = _CountingObjective(objective)
     start = time.perf_counter()
     trace = RunTrace()
@@ -313,40 +268,35 @@ def _accelerated(objective, x0, config, schedule, gradient_restart: bool) -> Run
             trace.termination = LINE_SEARCH_FAILED
             break
 
-        if gradient_restart:
-            back = retract_inverse(y, x)
-            restart = dual_metric(grad_y, back) < -gamma * gn2
+        if restart == "function":
+            restarted = f_next > f_x - config.c_r * gamma * gn2
+        elif restart == "gradient":
+            restarted = dual_metric(grad_y, retract_inverse(y, x)) < -gamma * gn2
         else:
-            restart = f_next > f_x - config.c_r * gamma * gn2
+            restarted = False
 
-        driving_gn = gn_y
-        if restart:
+        applied_k = 0
+        if restarted:
             # discard the candidate step; momentum resets
-            k = 0
-            y = x
-            res = obj.value_and_gradient(y)
-            f_y, grad_y = res.value, res.grad
-            gn_y = dual_norm(grad_y)
-            trace.records.append(
-                IterationRecord(t, f_x, driving_gn, gamma, True, 0)
-            )
+            y, k = x, 0
             trace.restarts += 1
         else:
-            v = retract_inverse(x, x_next)
-            y = cayley_retract(x, v, schedule.extrapolation_factor(k))
-            applied_k = k
-            k += 1
+            if restart is None:
+                y = x_next
+            else:
+                y = lerp(x, x_next, _SCHEDULE.extrapolation_factor(k))
+                applied_k, k = k, k + 1
             x, f_x = x_next, f_next
-            res = obj.value_and_gradient(y)
-            f_y, grad_y = res.value, res.grad
-            gn_y = dual_norm(grad_y)
-            trace.records.append(
-                IterationRecord(t, f_x, driving_gn, gamma, False, applied_k)
-            )
             trace.iterations += 1
             trace.max_orth_drift = max(
                 trace.max_orth_drift, x.orth_error, y.orth_error
             )
+        trace.records.append(
+            IterationRecord(t, f_x, gn_y, gamma, restarted, applied_k)
+        )
+        res = obj.value_and_gradient(y)
+        f_y, grad_y = res.value, res.grad
+        gn_y = dual_norm(grad_y)
 
     trace.final_point = x
     trace.final_value = f_x

@@ -3,7 +3,8 @@
 Each test prints one PASS line with the measured quantities once its
 criterion holds; run with -s (or read captured output) to see them. The
 two scaling sweeps take a few minutes combined; their results are shared
-across criteria through module-scoped fixtures.
+across criteria through module-scoped fixtures. Criteria 5-9 use those
+fixtures and are marked ``slow``; ``pytest -m "not slow"`` skips them.
 """
 
 import math
@@ -242,6 +243,7 @@ def test_criterion_4_euclidean_theory_suite():
     report(4, "50 quadratics x 200 steps: Lyapunov + both rate bounds")
 
 
+@pytest.mark.slow
 def test_criterion_5_solution_correctness(criterion5_traces):
     spectrum, weights, traces = criterion5_traces
     target = sa.known_minimum(spectrum, weights)
@@ -296,14 +298,17 @@ def _check_scaling_criterion(criterion, result):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_sphere_scaling(sphere_sweep):
     _check_scaling_criterion(6, sphere_sweep)
 
 
+@pytest.mark.slow
 def test_criterion_7_brockett_scaling(brockett_sweep):
     _check_scaling_criterion(7, brockett_sweep)
 
 
+@pytest.mark.slow
 def test_criterion_8_orthonormality_drift(criterion5_traces, sphere_sweep,
                                           brockett_sweep):
     _, _, traces = criterion5_traces
@@ -313,6 +318,7 @@ def test_criterion_8_orthonormality_drift(criterion5_traces, sphere_sweep,
     report(8, f"max drift across criteria 5-7 runs: {drift:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(tmp_path, sphere_sweep, capsys):
     out1 = tmp_path / "sphere_a.csv"
     out2 = tmp_path / "sphere_b.csv"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from stiefel_agd.bench import rows_from_csv
-from stiefel_agd.cli import main
+from stiefel_agd.cli import _solver_config, build_parser, main
+from stiefel_agd.solvers import SolverConfig
 
 FAST = ["--tol", "1e-6"]
 
@@ -118,3 +119,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "converged" in proc.stdout
+
+
+class TestSolverFlags:
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--spectrum", "linear:10"], ["scaling", "--n-values", "10"]],
+        ids=["solve", "scaling"],
+    )
+    def test_defaults_match_solver_config(self, command):
+        args = build_parser().parse_args(command)
+        assert _solver_config(args) == SolverConfig()

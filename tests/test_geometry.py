@@ -6,7 +6,6 @@ from stiefel_agd.geometry import (
     StiefelPoint,
     TangentVector,
     cayley_retract,
-    cayley_retract_raw,
     dual_metric,
     dual_norm,
     geodesic_retract,
@@ -223,14 +222,6 @@ class TestCayleyRetract:
             w = rand_dual(x, rng, norm=1.0)
             x = cayley_retract(x, w, float(rng.uniform(0.0, 1.0)))
         assert np.linalg.norm(x.x.T @ x.x - np.eye(4)) <= 1e-10
-
-    def test_raw_wrapper_matches_projected(self):
-        rng = np.random.default_rng(22)
-        x = random_point(25, 3, 23)
-        raw = rng.standard_normal((25, 3))
-        a = cayley_retract_raw(x, raw, 0.4)
-        b = cayley_retract(x, project_dual(x, raw), 0.4)
-        assert np.allclose(a.x, b.x, atol=1e-13)
 
 
 class TestGeodesicRetract:

@@ -6,51 +6,7 @@ from stiefel_agd.errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from stiefel_agd.linalg import as_matrix, jacobi_eigh, matmul, qr_thin, solve_square
-
-
-def naive_matmul(a, b):
-    """Triple-loop oracle, no BLAS."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for l in range(a.shape[1]):
-                acc += a[i, l] * b[l, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((3, 3))
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_against_naive_oracle(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((50, 7))
-        b = rng.standard_normal((7, 3))
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) <= 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = rng.standard_normal((6, 4))
-            b = rng.standard_normal((4, 5))
-            c = rng.standard_normal((5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(left)
+from stiefel_agd.linalg import as_matrix, jacobi_eigh, qr_thin, solve_square
 
 
 class TestSolveSquare:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stiefel_agd import geometry, solvers
 from stiefel_agd.errors import LineSearchFailedError
 from stiefel_agd.geometry import (
     StiefelPoint,
@@ -21,6 +22,7 @@ from stiefel_agd.objectives import (
 from stiefel_agd.solvers import (
     CONVERGED,
     LINE_SEARCH_FAILED,
+    LINESEARCH_TRIALS,
     MAX_ITERATIONS,
     SolverConfig,
     agd_function_restart,
@@ -55,7 +57,7 @@ class TestSolverConfig:
             {"c_r": 0.0},
             {"c_r": 0.5},
             {"epsilon": 0.0},
-            {"max_linesearch_steps": 0},
+            {"max_iter": -1},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -119,29 +121,21 @@ class TestLineSearch:
             line_search(self.obj, self.y, zero, 0.1, self.cfg, f_y=1.0,
                         grad_norm_sq=0.0)
 
-    def test_cached_values_optional(self):
-        # omitting f_y / grad_norm_sq computes them internally
-        gamma_a, xa, fa, _ = line_search(self.obj, self.y, self.grad, 0.05,
-                                         self.cfg)
-        gamma_b, xb, fb, _ = line_search(self.obj, self.y, self.grad, 0.05,
-                                         self.cfg, f_y=self.f_y,
-                                         grad_norm_sq=self.gn2)
-        assert gamma_a == gamma_b
-        assert fa == fb
-        assert np.array_equal(xa.x, xb.x)
-
     def test_exhaustion_raises(self):
+        calls = []
+
         class NanObjective:
             def value(self, x):
+                calls.append(x)
                 return math.nan
 
             def value_and_gradient(self, x):
                 raise AssertionError("not used")
 
         with pytest.raises(LineSearchFailedError):
-            line_search(NanObjective(), self.y, self.grad, 0.1,
-                        SolverConfig(max_linesearch_steps=5),
+            line_search(NanObjective(), self.y, self.grad, 0.1, self.cfg,
                         f_y=self.f_y, grad_norm_sq=self.gn2)
+        assert len(calls) == LINESEARCH_TRIALS == 60
 
 
 class TestGradientDescent:
@@ -184,6 +178,27 @@ class TestGradientDescent:
         assert trace.termination == MAX_ITERATIONS
         assert trace.iterations == 2
 
+    def test_never_inverts_a_retraction(self, monkeypatch):
+        class Inverted(Exception):
+            pass
+
+        def forbidden(base, target):
+            raise Inverted
+
+        monkeypatch.setattr(geometry, "retract_inverse", forbidden)
+        monkeypatch.setattr(solvers, "retract_inverse", forbidden)
+        spectrum = SpectrumInfo(np.arange(1.0, 41.0))
+        alpha = [1.0, 2.0, 3.0]
+        obj = make_objective(spectrum, alpha)
+        x0 = random_point(40, 3, 5)
+        trace = gradient_descent(obj, x0, SolverConfig())
+        assert trace.termination == CONVERGED
+        assert trace.restarts == 0
+        assert abs(trace.final_value - known_minimum(spectrum, alpha)) <= 1e-8
+        # the patch reaches the momentum path, so the check above is not vacuous
+        with pytest.raises(Inverted):
+            agd_function_restart(obj, x0, SolverConfig())
+
 
 class TestLineSearchFailureHandling:
     def test_solver_keeps_best_iterate(self):
@@ -201,8 +216,7 @@ class TestLineSearchFailureHandling:
                 return res0
 
         for solver in SOLVERS.values():
-            trace = solver(PoisonedObjective(), x0,
-                           SolverConfig(max_linesearch_steps=4))
+            trace = solver(PoisonedObjective(), x0, SolverConfig())
             assert trace.termination == LINE_SEARCH_FAILED
             assert trace.final_point is x0
             assert trace.iterations == 0
@@ -313,9 +327,22 @@ class TestAcceleratedSolvers:
         assert abs(trace.final_value - known_minimum(spectrum, alpha)) <= 1e-8
 
     def test_momentum_counter_resets_on_restart(self):
+        self._check_momentum_counter("agd-function")
+
+    @pytest.mark.parametrize("solver_name", ["gd", "agd-gradient"])
+    def test_momentum_counter_other_methods(self, solver_name):
+        self._check_momentum_counter(solver_name)
+
+    @staticmethod
+    def _check_momentum_counter(solver_name):
         obj = make_objective(SpectrumInfo(np.arange(1.0, 101.0)), [1.0])
-        trace = agd_function_restart(obj, random_point(100, 1, 23),
+        trace = SOLVERS[solver_name](obj, random_point(100, 1, 23),
                                      SolverConfig())
+        assert trace.termination == CONVERGED
+        if solver_name == "gd":
+            assert all(not rec.restarted and rec.momentum_k == 0
+                       for rec in trace.records)
+            return
         assert trace.restarts > 0, "expected restarts on this problem"
         k = 0
         for rec in trace.records:
