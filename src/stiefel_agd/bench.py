@@ -8,19 +8,14 @@ condition number of each problem. Seeds derive deterministically from
 random initial point, so repeating an experiment reproduces its output
 byte for byte.
 
-The CSV schema is fixed:
-
-    method,n,k,kappa,trial,seed,iterations,f_evals,g_evals,restarts,
-    final_rel_gradnorm,termination,wall_ms
-
-The wall_ms column is written as 0 to keep the CSV reproducible;
-measured timings live in the JSON summary instead.
+The CSV columns are the fields of ``TrialRow``, in order. The wall_ms
+column is written as 0 to keep the CSV reproducible; measured timings
+live in the JSON summary instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 import time
@@ -38,7 +33,6 @@ from .objectives import (
     make_objective,
     optimal_weights,
     parse_spectrum,
-    sphere_condition_number,
 )
 from .solvers import (
     CONVERGED,
@@ -56,12 +50,6 @@ SOLVERS = {
     "agd-function": agd_function_restart,
     "agd-gradient": agd_gradient_restart,
 }
-
-CSV_HEADER = (
-    "method,n,k,kappa,trial,seed,iterations,f_evals,g_evals,restarts,"
-    "final_rel_gradnorm,termination,wall_ms"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -121,6 +109,11 @@ class TrialRow:
     wall_ms: float
 
 
+_CSV_FIELDS = dataclasses.fields(TrialRow)
+CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
+_CSV_PARSERS = {"str": str, "int": int, "float": float}
+
+
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
@@ -169,10 +162,7 @@ def build_problem(
     """Objective, spectrum, weights and Hessian condition number for one n."""
     spectrum = _spectrum_for(spec.spectrum, n)
     weights = _weights_for(spec, spectrum)
-    if spec.problem == "sphere":
-        kappa = sphere_condition_number(spectrum)
-    else:
-        kappa = brockett_condition_number(spectrum, weights)
+    kappa = brockett_condition_number(spectrum, weights)
     return make_objective(spectrum, weights), spectrum, weights, kappa
 
 
@@ -274,17 +264,16 @@ def fits_from_rows(rows) -> dict[str, FitResult | None]:
     return fits
 
 
+def _csv_cell(row: TrialRow, name: str) -> str:
+    # str of a float is its shortest repr, which reads back exactly
+    return "0" if name == "wall_ms" else str(getattr(row, name))
+
+
 def rows_to_csv(rows) -> str:
     """Render rows in the fixed schema; deterministic for identical rows."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in rows:
-        buf.write(
-            f"{r.method},{r.n},{r.k},{r.kappa!r},{r.trial},{r.seed},"
-            f"{r.iterations},{r.f_evals},{r.g_evals},{r.restarts},"
-            f"{r.final_rel_gradnorm!r},{r.termination},0\n"
-        )
-    return buf.getvalue()
+    lines = [CSV_HEADER]
+    lines.extend(",".join(_csv_cell(r, f.name) for f in _CSV_FIELDS) for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 def rows_from_csv(text: str) -> list[TrialRow]:
@@ -295,36 +284,19 @@ def rows_from_csv(text: str) -> list[TrialRow]:
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 13:
+        if len(parts) != len(_CSV_FIELDS):
             raise ValueError(f"malformed CSV row: {line!r}")
-        rows.append(
-            TrialRow(
-                method=parts[0],
-                n=int(parts[1]),
-                k=int(parts[2]),
-                kappa=float(parts[3]),
-                trial=int(parts[4]),
-                seed=int(parts[5]),
-                iterations=int(parts[6]),
-                f_evals=int(parts[7]),
-                g_evals=int(parts[8]),
-                restarts=int(parts[9]),
-                final_rel_gradnorm=float(parts[10]),
-                termination=parts[11],
-                wall_ms=float(parts[12]),
-            )
-        )
+        rows.append(TrialRow(*(
+            _CSV_PARSERS[f.type](part) for f, part in zip(_CSV_FIELDS, parts)
+        )))
     return rows
 
 
-def fit_to_dict(fit: FitResult | None):
-    if fit is None:
-        return None
+def fits_to_dict(fits: dict[str, FitResult | None]) -> dict:
+    """JSON-ready fits, keyed by method in sorted order."""
     return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "points": [list(p) for p in fit.points],
+        m: None if f is None else dataclasses.asdict(f)
+        for m, f in sorted(fits.items())
     }
 
 
@@ -333,7 +305,7 @@ def result_to_json(result: ExperimentResult) -> str:
     spec = dataclasses.asdict(result.spec)
     payload = {
         "config": spec,
-        "fits": {m: fit_to_dict(f) for m, f in sorted(result.fits.items())},
+        "fits": fits_to_dict(result.fits),
         "rows": len(result.rows),
         "failures": [
             {"method": r.method, "n": r.n, "trial": r.trial,

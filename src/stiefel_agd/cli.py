@@ -9,6 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -21,8 +22,8 @@ from .bench import (
     SOLVERS,
     ExperimentSpec,
     build_problem,
-    fit_to_dict,
     fits_from_rows,
+    fits_to_dict,
     result_to_json,
     rows_from_csv,
     rows_to_csv,
@@ -56,7 +57,7 @@ def _weights_arg(text: str):
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     defaults = SolverConfig()
-    p.add_argument("--tol", type=float, default=defaults.epsilon,
+    p.add_argument("--tol", dest="epsilon", type=float, default=defaults.epsilon,
                    help="relative gradient-norm stopping tolerance")
     p.add_argument("--gamma0", type=float, default=defaults.gamma0,
                    help="initial step size")
@@ -72,12 +73,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
-        gamma0=args.gamma0,
-        lambda_d=args.lambda_d,
-        c_l=args.c_l,
-        c_r=args.c_r,
-        epsilon=args.tol,
-        max_iter=args.max_iter,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
     )
 
 
@@ -143,33 +139,36 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
+def _experiment_spec(args, k: int, n_values, trials_per_n: int) -> ExperimentSpec:
+    return ExperimentSpec(
+        problem=args.problem,
+        spectrum=args.spectrum,
+        n_values=n_values,
+        trials_per_n=trials_per_n,
+        base_seed=args.seed,
+        methods=METHODS if args.method == "all" else (args.method,),
+        solver=_solver_config(args),
+        k=k,
+        weights=args.weights,
+    )
+
+
 def _cmd_solve(args, parser) -> int:
     k = _resolve_k(args, parser)
     try:
         spectrum = parse_spectrum(args.spectrum)
-        spec = ExperimentSpec(
-            problem=args.problem,
-            spectrum=args.spectrum,
-            n_values=(spectrum.n,),
-            trials_per_n=1,
-            base_seed=args.seed,
-            methods=METHODS,
-            solver=_solver_config(args),
-            k=k,
-            weights=args.weights,
-        )
+        spec = _experiment_spec(args, k, (spectrum.n,), 1)
         objective, _, _, kappa = build_problem(spec, spectrum.n)
     except ValueError as exc:
         parser.error(str(exc))
     x0 = random_point(spectrum.n, k, args.seed)
-    methods = METHODS if args.method == "all" else (args.method,)
 
     print(f"problem: {args.problem}  n={spectrum.n}  k={k}  kappa={kappa:.6g}")
     header = (f"{'method':<14} {'term':<18} {'iters':>8} {'restarts':>8} "
               f"{'f_evals':>8} {'g_evals':>8} {'rel_grad':>10} {'wall_s':>8}")
     print(header)
     best = None
-    for method in methods:
+    for method in spec.methods:
         trace = SOLVERS[method](objective, x0, spec.solver)
         print(
             f"{method:<14} {trace.termination:<18} {trace.iterations:>8} "
@@ -187,19 +186,8 @@ def _cmd_solve(args, parser) -> int:
 
 def _cmd_scaling(args, parser) -> int:
     k = _resolve_k(args, parser)
-    methods = METHODS if args.method == "all" else (args.method,)
     try:
-        spec = ExperimentSpec(
-            problem=args.problem,
-            spectrum=args.spectrum,
-            n_values=args.n_values,
-            trials_per_n=args.trials,
-            base_seed=args.seed,
-            methods=methods,
-            solver=_solver_config(args),
-            k=k,
-            weights=args.weights,
-        )
+        spec = _experiment_spec(args, k, args.n_values, args.trials)
         result = run_experiment(spec)
     except ValueError as exc:
         parser.error(str(exc))
@@ -216,8 +204,7 @@ def _cmd_fit(args, parser) -> int:
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     fits = fits_from_rows(rows)
-    payload = {m: fit_to_dict(f) for m, f in sorted(fits.items())}
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    _emit(json.dumps(fits_to_dict(fits), indent=2, sort_keys=True), args.out)
     return 0
 
 

@@ -34,6 +34,7 @@ retraction curve through two points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,20 @@ def _check_base(a, b) -> None:
         raise ValueError("vectors live at different base points")
 
 
+def _tangent_array(a, base: StiefelPoint, space: str) -> np.ndarray:
+    """``a`` as a frozen array in the (dual) tangent space at ``base``."""
+    a = as_matrix(a, f"{space} vector")
+    x = base.x
+    if a.shape != x.shape:
+        raise ValueError(f"shape {a.shape} does not match base {x.shape}")
+    skew = np.linalg.norm(a.T @ x + x.T @ a)
+    if skew > INVARIANT_TOL:
+        raise ValueError(
+            f"not in the {space} space: ||a^T x + x^T a||_F = {skew:.3e}"
+        )
+    return _frozen_array(a)
+
+
 @dataclass(frozen=True, eq=False)
 class DualTangentVector:
     """Dual tangent vector w at ``base``: w^T x + x^T w = 0."""
@@ -106,16 +121,9 @@ class DualTangentVector:
     base: StiefelPoint
 
     def __post_init__(self):
-        w = as_matrix(self.w, "dual tangent vector")
-        x = self.base.x
-        if w.shape != x.shape:
-            raise ValueError(f"shape {w.shape} does not match base {x.shape}")
-        skew = np.linalg.norm(w.T @ x + x.T @ w)
-        if skew > INVARIANT_TOL:
-            raise ValueError(
-                f"not in the dual tangent space: ||w^T x + x^T w||_F = {skew:.3e}"
-            )
-        object.__setattr__(self, "w", _frozen_array(w))
+        object.__setattr__(
+            self, "w", _tangent_array(self.w, self.base, "dual tangent")
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,16 +134,7 @@ class TangentVector:
     base: StiefelPoint
 
     def __post_init__(self):
-        v = as_matrix(self.v, "tangent vector")
-        x = self.base.x
-        if v.shape != x.shape:
-            raise ValueError(f"shape {v.shape} does not match base {x.shape}")
-        skew = np.linalg.norm(v.T @ x + x.T @ v)
-        if skew > INVARIANT_TOL:
-            raise ValueError(
-                f"not in the tangent space: ||v^T x + x^T v||_F = {skew:.3e}"
-            )
-        object.__setattr__(self, "v", _frozen_array(v))
+        object.__setattr__(self, "v", _tangent_array(self.v, self.base, "tangent"))
 
 
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
@@ -185,8 +184,7 @@ def dual_metric(w1: DualTangentVector, w2: DualTangentVector) -> float:
 
 def dual_norm(w: DualTangentVector) -> float:
     """Norm induced by ``dual_metric``."""
-    x = w.base.x
-    return float(np.sqrt(np.vdot(w.w, w.w) + np.vdot(x.T @ w.w, x.T @ w.w)))
+    return math.sqrt(dual_metric(w, w))
 
 
 def raise_indices(w: DualTangentVector) -> TangentVector:

@@ -32,6 +32,18 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_vector(data, name: str = "vector") -> np.ndarray:
+    """Convert user input to a read-only 1-D float64 array.
+
+    Raises ValueError if the input is empty or contains NaN/Inf.
+    """
+    v = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
+    if v.size < 1 or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be a non-empty finite vector")
+    v.flags.writeable = False
+    return v
+
+
 def solve_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for square a via LU with partial pivoting.
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NotSymmetricError
 from .geometry import DualTangentVector, StiefelPoint, project_dual
-from .linalg import as_matrix
+from .linalg import as_matrix, as_vector
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,9 @@ class SpectrumInfo:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        lam = np.ascontiguousarray(self.eigenvalues, dtype=np.float64).reshape(-1)
-        if lam.size < 1 or not np.all(np.isfinite(lam)):
-            raise ValueError("eigenvalues must be a non-empty finite vector")
+        lam = as_vector(self.eigenvalues, "eigenvalues")
         if np.any(np.diff(lam) < 0):
             raise ValueError("eigenvalues must be ascending")
-        lam.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
 
     @property
@@ -55,11 +52,7 @@ class DiagonalOperator:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
-        if v.size < 1 or not np.all(np.isfinite(v)):
-            raise ValueError("diagonal values must be a non-empty finite vector")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", as_vector(self.values, "diagonal values"))
 
     @property
     def n(self) -> int:
@@ -109,14 +102,11 @@ class ObjectiveSpec:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64).reshape(-1)
-        if w.size < 1 or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be a non-empty finite vector")
+        w = as_vector(self.weights, "weights")
         if w[0] <= 0.0 or np.any(np.diff(w) <= 0):
             raise ValueError("weights must be positive and strictly increasing")
         if w.size > self.operator.n:
             raise ValueError("more weights than operator dimensions")
-        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     @property
@@ -156,14 +146,9 @@ class ObjectiveSpec:
 
 def sphere_condition_number(spectrum: SpectrumInfo) -> float:
     """Condition number of the Rayleigh quotient's Hessian at its
-    minimizer: (lambda_n - lambda_1) / (lambda_2 - lambda_1)."""
-    lam = spectrum.eigenvalues
-    if lam.size < 2:
-        raise ValueError("need at least two eigenvalues")
-    gap = lam[1] - lam[0]
-    if gap <= 0.0:
-        raise DegenerateSpectrumError("lambda_2 == lambda_1")
-    return float((lam[-1] - lam[0]) / gap)
+    minimizer: (lambda_n - lambda_1) / (lambda_2 - lambda_1), the Brockett
+    one at k = 1."""
+    return brockett_condition_number(spectrum, (1.0,))
 
 
 def brockett_condition_number(spectrum: SpectrumInfo, weights) -> float:
@@ -173,7 +158,7 @@ def brockett_condition_number(spectrum: SpectrumInfo, weights) -> float:
                 min{ alpha_1 (lambda_{k+1} - lambda_k),
                      min_{i<k} (lambda_{k-i+1} - lambda_{k-i})(alpha_{i+1} - alpha_i) }
 
-    Reduces to sphere_condition_number at k = 1.
+    At k = 1 with alpha = (1,) this is sphere_condition_number.
     """
     lam = spectrum.eigenvalues
     alpha = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
@@ -193,12 +178,7 @@ def optimal_condition_number(spectrum: SpectrumInfo, k: int) -> float:
     """Smallest Hessian condition number achievable by any weight choice:
     (lambda_n - lambda_1) * sum_{i<=k} 1/(lambda_{i+1} - lambda_i)."""
     lam = spectrum.eigenvalues
-    if not 1 <= k <= lam.size - 1:
-        raise ValueError(f"need 1 <= k <= n - 1, got k={k}, n={lam.size}")
-    gaps = np.diff(lam[: k + 1])
-    if np.any(gaps <= 0.0):
-        raise DegenerateSpectrumError("zero gap among the leading eigenvalues")
-    return float((lam[-1] - lam[0]) * np.sum(1.0 / gaps))
+    return float((lam[-1] - lam[0]) * np.sum(1.0 / _leading_gaps(spectrum, k)))
 
 
 def optimal_weights(spectrum: SpectrumInfo, k: int) -> np.ndarray:
@@ -214,13 +194,18 @@ def optimal_weights(spectrum: SpectrumInfo, k: int) -> np.ndarray:
     this normalization is the one returned. For lambda_i = i this is
     alpha_i = i.
     """
+    return np.cumsum(1.0 / _leading_gaps(spectrum, k)[::-1])
+
+
+def _leading_gaps(spectrum: SpectrumInfo, k: int) -> np.ndarray:
+    """lambda_{i+1} - lambda_i for i = 1..k, all positive."""
     lam = spectrum.eigenvalues
     if not 1 <= k <= lam.size - 1:
         raise ValueError(f"need 1 <= k <= n - 1, got k={k}, n={lam.size}")
     gaps = np.diff(lam[: k + 1])
     if np.any(gaps <= 0.0):
         raise DegenerateSpectrumError("zero gap among the leading eigenvalues")
-    return np.cumsum(1.0 / gaps[::-1])
+    return gaps
 
 
 def known_minimum(spectrum: SpectrumInfo, weights) -> float:

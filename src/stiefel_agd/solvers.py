@@ -30,7 +30,10 @@ with V_t the dual vector solving R(X_t, raise(V_t)) = X_{t+1},
     Y_{t+1} = R(X_t, (1 + k/(k+3)) raise(V_t)),
 
 where k counts momentum steps since the last restart. A restart discards
-the candidate step, Y snaps back to X_t and k resets to 0.
+the candidate step, Y snaps back to X_t and k resets to 0. A failed
+inverse retraction or Cayley solve in the momentum path does not end the
+run: in the gradient rule it counts as a restart, and in the
+extrapolation the step is kept with Y = X_{t+1} and k = 0.
 
 Every solver stops on the relative criterion ||grad f|| <= epsilon
 ||grad f(X_0)||, evaluated at the most recent gradient point Y (the
@@ -45,7 +48,11 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import LineSearchFailedError, RetractionFailedError
+from .errors import (
+    InverseRetractionFailedError,
+    LineSearchFailedError,
+    RetractionFailedError,
+)
 from .euclidean import MomentumSchedule
 from .geometry import (
     DualTangentVector,
@@ -67,6 +74,10 @@ LINESEARCH_TRIALS = 60
 
 #: Momentum schedule of both accelerated solvers: q_t = t.
 _SCHEDULE = MomentumSchedule()
+
+#: Numerical failures of the momentum path; each one resets the momentum
+#: instead of ending the run.
+_MOMENTUM_FAILURES = (InverseRetractionFailedError, RetractionFailedError)
 
 
 @dataclass(frozen=True)
@@ -119,11 +130,12 @@ class IterationRecord(NamedTuple):
 class RunTrace:
     """History and totals of one solver run.
 
-    ``iterations`` counts accepted (non-restart) passes; restarted passes
-    are tallied separately, so gradient evaluations come to exactly
-    iterations + restarts + 1. ``f_evals`` counts value-only evaluations
-    (line-search trials); every pass also evaluates value and gradient
-    together once, counted in ``g_evals``.
+    ``iterations`` counts accepted (non-restart) passes and ``restarts``
+    the restarted ones. ``f_evals`` is the sum of the line-search trials
+    of all passes, ``LINESEARCH_TRIALS`` for a search that failed; a trial
+    whose Cayley solve failed counts although it evaluates nothing.
+    ``g_evals`` is iterations + restarts + 1: one value-and-gradient
+    evaluation at x0 and one at the look-ahead point of each pass.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -145,23 +157,6 @@ class RunTrace:
         if self.initial_grad_norm == 0.0:
             return 0.0
         return self.final_grad_norm / self.initial_grad_norm
-
-
-class _CountingObjective:
-    """Wraps an objective and counts value / value+gradient evaluations."""
-
-    def __init__(self, objective):
-        self._objective = objective
-        self.value_calls = 0
-        self.gradient_calls = 0
-
-    def value(self, x: StiefelPoint) -> float:
-        self.value_calls += 1
-        return self._objective.value(x)
-
-    def value_and_gradient(self, x: StiefelPoint):
-        self.gradient_calls += 1
-        return self._objective.value_and_gradient(x)
 
 
 def line_search(
@@ -236,11 +231,10 @@ def agd_gradient_restart(objective, x0: StiefelPoint, config: SolverConfig) -> R
 def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None) -> RunTrace:
     """The pass loop of all three solvers. ``restart`` is None (gradient
     descent: no momentum, never a restart), "function" or "gradient"."""
-    obj = _CountingObjective(objective)
     start = time.perf_counter()
     trace = RunTrace()
 
-    res = obj.value_and_gradient(x0)
+    res = objective.value_and_gradient(x0)
     x, f_x = x0, res.value
     y, f_y, grad_y = x0, res.value, res.grad
     gn_y = dual_norm(grad_y)
@@ -261,19 +255,24 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
             break
         gn2 = gn_y * gn_y
         try:
-            gamma, x_next, f_next, _ = line_search(
-                obj, y, grad_y, gamma, config, f_y=f_y, grad_norm_sq=gn2
+            gamma, x_next, f_next, trials = line_search(
+                objective, y, grad_y, gamma, config, f_y=f_y, grad_norm_sq=gn2
             )
         except LineSearchFailedError:
+            trace.f_evals += LINESEARCH_TRIALS
             trace.termination = LINE_SEARCH_FAILED
             break
+        trace.f_evals += trials
 
+        restarted = False
         if restart == "function":
             restarted = f_next > f_x - config.c_r * gamma * gn2
-        elif restart == "gradient":
-            restarted = dual_metric(grad_y, retract_inverse(y, x)) < -gamma * gn2
-        else:
-            restarted = False
+        elif restart == "gradient" and y is not x:
+            # at y = x the momentum is the zero vector and cannot oppose descent
+            try:
+                restarted = dual_metric(grad_y, retract_inverse(y, x)) < -gamma * gn2
+            except _MOMENTUM_FAILURES:
+                restarted = True
 
         applied_k = 0
         if restarted:
@@ -281,11 +280,14 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
             y, k = x, 0
             trace.restarts += 1
         else:
-            if restart is None:
-                y = x_next
-            else:
-                y = lerp(x, x_next, _SCHEDULE.extrapolation_factor(k))
-                applied_k, k = k, k + 1
+            y = x_next
+            if restart is not None:
+                try:
+                    y = lerp(x, x_next, _SCHEDULE.extrapolation_factor(k))
+                    applied_k, k = k, k + 1
+                except _MOMENTUM_FAILURES:
+                    # keep the accepted step; momentum resets
+                    k = 0
             x, f_x = x_next, f_next
             trace.iterations += 1
             trace.max_orth_drift = max(
@@ -294,14 +296,13 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
         trace.records.append(
             IterationRecord(t, f_x, gn_y, gamma, restarted, applied_k)
         )
-        res = obj.value_and_gradient(y)
+        res = objective.value_and_gradient(y)
         f_y, grad_y = res.value, res.grad
         gn_y = dual_norm(grad_y)
 
     trace.final_point = x
     trace.final_value = f_x
     trace.final_grad_norm = gn_y
-    trace.f_evals = obj.value_calls
-    trace.g_evals = obj.gradient_calls
+    trace.g_evals = trace.iterations + trace.restarts + 1
     trace.wall_time = time.perf_counter() - start
     return trace

@@ -13,3 +13,19 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# Property tests draw the same examples on every run, keep no example
+# database and have no per-example deadline (their time varies with the
+# machine's load). Hypothesis also caches the constants it finds in the
+# source under its storage directory; a path below os.devnull cannot be
+# created, so that cache is skipped and the run writes no files.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(os.devnull, "hypothesis")
+)
+
+from hypothesis import settings  # noqa: E402
+
+settings.register_profile(
+    "stiefel-agd", derandomize=True, database=None, deadline=None
+)
+settings.load_profile("stiefel-agd")

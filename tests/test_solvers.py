@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from stiefel_agd import geometry, solvers
-from stiefel_agd.errors import LineSearchFailedError
+from stiefel_agd.errors import (
+    InverseRetractionFailedError,
+    LineSearchFailedError,
+    RetractionFailedError,
+)
 from stiefel_agd.geometry import (
     StiefelPoint,
     cayley_retract,
@@ -220,6 +224,89 @@ class TestLineSearchFailureHandling:
             assert trace.termination == LINE_SEARCH_FAILED
             assert trace.final_point is x0
             assert trace.iterations == 0
+            assert trace.f_evals == LINESEARCH_TRIALS
+            assert trace.g_evals == 1
+
+
+def brockett_40_3():
+    spectrum = SpectrumInfo(np.arange(1.0, 41.0))
+    alpha = [1.0, 2.0, 3.0]
+    return make_objective(spectrum, alpha), known_minimum(spectrum, alpha)
+
+
+def fail_on_call(monkeypatch, module, n, error):
+    """Make ``module.retract_inverse`` raise ``error`` on its n-th call
+    only (never for n = 0); returns the list of (base, target) calls."""
+    original = module.retract_inverse
+    calls = []
+
+    def flaky(base, target):
+        calls.append((base, target))
+        if len(calls) == n:
+            raise error("injected failure")
+        return original(base, target)
+
+    monkeypatch.setattr(module, "retract_inverse", flaky)
+    return calls
+
+
+class TestMomentumFailures:
+    """A numerical failure in the momentum path resets the momentum and the
+    run goes on. ``solvers.retract_inverse`` is the gradient rule's call;
+    ``geometry.retract_inverse`` is the one inside the extrapolation."""
+
+    @pytest.mark.parametrize(
+        "error", [InverseRetractionFailedError, RetractionFailedError]
+    )
+    def test_gradient_rule_failure_becomes_a_restart(self, monkeypatch, error):
+        obj, minimum = brockett_40_3()
+        x0 = random_point(40, 3, 5)
+        clean = agd_gradient_restart(obj, x0, SolverConfig())
+        calls = fail_on_call(monkeypatch, solvers, 4, error)
+        trace = agd_gradient_restart(obj, x0, SolverConfig())
+        assert len(calls) > 4
+        assert trace.termination == CONVERGED
+        assert abs(trace.final_value - minimum) <= 1e-8
+        assert trace.g_evals == trace.iterations + trace.restarts + 1
+        # the first passes match the clean run up to the failed one
+        failed = trace.records[4]
+        assert failed.restarted and not clean.records[4].restarted
+        assert trace.records[:4] == clean.records[:4]
+
+    @pytest.mark.parametrize(
+        "error", [InverseRetractionFailedError, RetractionFailedError]
+    )
+    @pytest.mark.parametrize("solver_name", ["agd-function", "agd-gradient"])
+    def test_extrapolation_failure_keeps_the_step(
+        self, monkeypatch, solver_name, error
+    ):
+        obj, minimum = brockett_40_3()
+        x0 = random_point(40, 3, 5)
+        clean = SOLVERS[solver_name](obj, x0, SolverConfig())
+        calls = fail_on_call(monkeypatch, geometry, 6, error)
+        trace = SOLVERS[solver_name](obj, x0, SolverConfig())
+        assert len(calls) > 6
+        assert trace.termination == CONVERGED
+        assert abs(trace.final_value - minimum) <= 1e-8
+        assert trace.g_evals == trace.iterations + trace.restarts + 1
+        # each accepted pass extrapolates once, so the sixth one failed: its
+        # step is kept as in the clean run, without momentum
+        j = [i for i, r in enumerate(trace.records) if not r.restarted][5]
+        assert trace.records[:j] == clean.records[:j]
+        assert clean.records[j].momentum_k > 0
+        assert trace.records[j] == clean.records[j]._replace(momentum_k=0)
+        after = [r for r in trace.records[j + 1:] if not r.restarted]
+        assert after[0].momentum_k == 0
+
+    def test_gradient_rule_skips_the_current_iterate(self, monkeypatch):
+        # at y = x (first pass, and after every restart) the rule would
+        # invert a point onto itself and get the zero vector
+        calls = fail_on_call(monkeypatch, solvers, 0, AssertionError)
+        obj, _ = brockett_40_3()
+        trace = agd_gradient_restart(obj, random_point(40, 3, 5), SolverConfig())
+        assert trace.termination == CONVERGED
+        assert trace.restarts > 0 and calls
+        assert not [base for base, target in calls if base is target]
 
 
 class TestAcceleratedSolvers:
