@@ -37,7 +37,7 @@ from .geometry import (
     random_point,
     retract_inverse,
 )
-from .linalg import jacobi_eigh, qr_thin, solve_square
+from .linalg import qr_thin, solve_square
 from .objectives import (
     DenseOperator,
     DiagonalOperator,

@@ -6,7 +6,8 @@ over trials, and fits a line in log-log space against the Hessian
 condition number of each problem. Seeds derive deterministically from
 (base_seed, n, trial), and all methods within a cell share the same
 random initial point, so repeating an experiment reproduces its output
-byte for byte.
+byte for byte. A solve that raises a library error or ValueError becomes
+a row with termination ``raised`` and the sweep goes on.
 
 The CSV columns are the fields of ``TrialRow``, in order. The wall_ms
 column is written as 0 to keep the CSV reproducible; measured timings
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError
+from .errors import DegenerateFitError, StiefelAgdError
 from .geometry import random_point
 from .objectives import (
     ObjectiveSpec,
@@ -44,6 +45,10 @@ from .solvers import (
 )
 
 METHODS = ("gd", "agd-function", "agd-gradient")
+
+#: Termination of a row whose solve raised; its counters are zero and its
+#: final_rel_gradnorm is nan.
+RAISED = "raised"
 
 SOLVERS = {
     "gd": gradient_descent,
@@ -72,6 +77,11 @@ class ExperimentSpec:
             raise ValueError("sphere problems have k = 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if isinstance(self.weights, str):
+            if self.weights != "optimal":
+                raise ValueError(f"unknown weights specifier {self.weights!r}")
+        elif np.shape(self.weights) != (self.k,):
+            raise ValueError(f"expected {self.k} weights, got {self.weights!r}")
         if len(self.n_values) < 1 or list(self.n_values) != sorted(self.n_values):
             raise ValueError("n_values must be non-empty and ascending")
         if self.trials_per_n < 1:
@@ -143,17 +153,12 @@ def _spectrum_for(specifier: str, n: int) -> SpectrumInfo:
     return spectrum
 
 
-def _weights_for(spec: ExperimentSpec, spectrum: SpectrumInfo) -> np.ndarray:
+def _weights_for(spec: ExperimentSpec, spectrum: SpectrumInfo):
     if spec.problem == "sphere":
-        return np.array([1.0])
-    if isinstance(spec.weights, str):
-        if spec.weights != "optimal":
-            raise ValueError(f"unknown weights specifier {spec.weights!r}")
+        return (1.0,)
+    if isinstance(spec.weights, str):  # "optimal", the only specifier
         return optimal_weights(spectrum, spec.k)
-    w = np.asarray(spec.weights, dtype=np.float64)
-    if w.size != spec.k:
-        raise ValueError(f"expected {spec.k} weights, got {w.size}")
-    return w
+    return spec.weights
 
 
 def build_problem(
@@ -161,9 +166,9 @@ def build_problem(
 ) -> tuple[ObjectiveSpec, SpectrumInfo, np.ndarray, float]:
     """Objective, spectrum, weights and Hessian condition number for one n."""
     spectrum = _spectrum_for(spec.spectrum, n)
-    weights = _weights_for(spec, spectrum)
-    kappa = brockett_condition_number(spectrum, weights)
-    return make_objective(spectrum, weights), spectrum, weights, kappa
+    objective = make_objective(spectrum, _weights_for(spec, spectrum))
+    kappa = brockett_condition_number(spectrum, objective.weights)
+    return objective, spectrum, objective.weights, kappa
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -177,8 +182,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             seed = trial_seed(spec.base_seed, n, trial)
             x0 = random_point(n, spec.k, seed)
             for method in spec.methods:
-                trace: RunTrace = SOLVERS[method](x0=x0, objective=objective,
-                                                   config=spec.solver)
+                try:
+                    trace = SOLVERS[method](x0=x0, objective=objective,
+                                            config=spec.solver)
+                except (StiefelAgdError, ValueError):
+                    # one bad cell must not end the sweep
+                    trace = RunTrace(termination=RAISED)
                 rows.append(
                     TrialRow(
                         method=method,

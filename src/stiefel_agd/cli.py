@@ -124,12 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_k(args, parser) -> int:
-    if args.problem == "sphere":
-        if args.k not in (None, 1):
-            parser.error("--k must be 1 for sphere problems")
-        return 1
-    return args.k if args.k is not None else 10
+def _resolve_k(args) -> int:
+    if args.k is not None:
+        return args.k
+    return 1 if args.problem == "sphere" else 10
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -139,7 +137,7 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
-def _experiment_spec(args, k: int, n_values, trials_per_n: int) -> ExperimentSpec:
+def _experiment_spec(args, n_values, trials_per_n: int) -> ExperimentSpec:
     return ExperimentSpec(
         problem=args.problem,
         spectrum=args.spectrum,
@@ -148,22 +146,21 @@ def _experiment_spec(args, k: int, n_values, trials_per_n: int) -> ExperimentSpe
         base_seed=args.seed,
         methods=METHODS if args.method == "all" else (args.method,),
         solver=_solver_config(args),
-        k=k,
+        k=_resolve_k(args),
         weights=args.weights,
     )
 
 
 def _cmd_solve(args, parser) -> int:
-    k = _resolve_k(args, parser)
     try:
         spectrum = parse_spectrum(args.spectrum)
-        spec = _experiment_spec(args, k, (spectrum.n,), 1)
+        spec = _experiment_spec(args, (spectrum.n,), 1)
         objective, _, _, kappa = build_problem(spec, spectrum.n)
     except ValueError as exc:
         parser.error(str(exc))
-    x0 = random_point(spectrum.n, k, args.seed)
+    x0 = random_point(spectrum.n, spec.k, args.seed)
 
-    print(f"problem: {args.problem}  n={spectrum.n}  k={k}  kappa={kappa:.6g}")
+    print(f"problem: {args.problem}  n={spectrum.n}  k={spec.k}  kappa={kappa:.6g}")
     header = (f"{'method':<14} {'term':<18} {'iters':>8} {'restarts':>8} "
               f"{'f_evals':>8} {'g_evals':>8} {'rel_grad':>10} {'wall_s':>8}")
     print(header)
@@ -185,9 +182,8 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_scaling(args, parser) -> int:
-    k = _resolve_k(args, parser)
     try:
-        spec = _experiment_spec(args, k, args.n_values, args.trials)
+        spec = _experiment_spec(args, args.n_values, args.trials)
         result = run_experiment(spec)
     except ValueError as exc:
         parser.error(str(exc))

@@ -53,14 +53,6 @@ from .linalg import as_matrix, qr_thin, solve_square
 INVARIANT_TOL = 1e-8
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out is a:
-        out = a.copy()
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class StiefelPoint:
     """A point on the Stiefel manifold: n x k matrix, orthonormal columns.
@@ -82,7 +74,7 @@ class StiefelPoint:
             raise ValueError(
                 f"columns are not orthonormal: ||x^T x - I||_F = {err:.3e}"
             )
-        object.__setattr__(self, "x", _frozen_array(x))
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "orth_error", err)
 
     @property
@@ -100,7 +92,7 @@ def _check_base(a, b) -> None:
 
 
 def _tangent_array(a, base: StiefelPoint, space: str) -> np.ndarray:
-    """``a`` as a frozen array in the (dual) tangent space at ``base``."""
+    """``a`` as a read-only copy in the (dual) tangent space at ``base``."""
     a = as_matrix(a, f"{space} vector")
     x = base.x
     if a.shape != x.shape:
@@ -110,7 +102,7 @@ def _tangent_array(a, base: StiefelPoint, space: str) -> np.ndarray:
         raise ValueError(
             f"not in the {space} space: ||a^T x + x^T a||_F = {skew:.3e}"
         )
-    return _frozen_array(a)
+    return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,7 +75,6 @@ class DenseOperator:
         norm = np.linalg.norm(a)
         if np.linalg.norm(a - a.T) > 1e-12 * max(norm, 1e-300):
             raise NotSymmetricError("operator matrix is not symmetric")
-        a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
     @property
@@ -94,6 +93,14 @@ class EvalResult:
     grad: DualTangentVector
 
 
+def _as_weights(weights) -> np.ndarray:
+    """``weights`` as a read-only vector, positive and strictly increasing."""
+    w = as_vector(weights, "weights")
+    if w[0] <= 0.0 or np.any(np.diff(w) <= 0):
+        raise ValueError("weights must be positive and strictly increasing")
+    return w
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """A weighted quadratic objective: symmetric operator plus weights."""
@@ -102,9 +109,7 @@ class ObjectiveSpec:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = as_vector(self.weights, "weights")
-        if w[0] <= 0.0 or np.any(np.diff(w) <= 0):
-            raise ValueError("weights must be positive and strictly increasing")
+        w = _as_weights(self.weights)
         if w.size > self.operator.n:
             raise ValueError("more weights than operator dimensions")
         object.__setattr__(self, "weights", w)
@@ -161,7 +166,7 @@ def brockett_condition_number(spectrum: SpectrumInfo, weights) -> float:
     At k = 1 with alpha = (1,) this is sphere_condition_number.
     """
     lam = spectrum.eigenvalues
-    alpha = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
+    alpha = _as_weights(weights)
     k = alpha.size
     if lam.size < k + 1:
         raise ValueError("need at least k + 1 eigenvalues")
@@ -170,7 +175,7 @@ def brockett_condition_number(spectrum: SpectrumInfo, weights) -> float:
         terms.append((lam[k - i] - lam[k - i - 1]) * (alpha[i] - alpha[i - 1]))
     denom = min(terms)
     if denom <= 0.0:
-        raise DegenerateSpectrumError("zero gap in spectrum or weights")
+        raise DegenerateSpectrumError("zero gap in the spectrum")
     return float(alpha[-1] * (lam[-1] - lam[0]) / denom)
 
 
@@ -216,7 +221,7 @@ def known_minimum(spectrum: SpectrumInfo, weights) -> float:
     value is (1/2) sum_i alpha_i lambda_{k+1-i}.
     """
     lam = spectrum.eigenvalues
-    alpha = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
+    alpha = _as_weights(weights)
     k = alpha.size
     if lam.size < k:
         raise ValueError("need at least k eigenvalues")
@@ -259,4 +264,4 @@ def _parse_size(arg: str, full: str) -> int:
 
 def make_objective(spectrum: SpectrumInfo, weights) -> ObjectiveSpec:
     """Diagonal-operator objective with the given spectrum and weights."""
-    return ObjectiveSpec(DiagonalOperator(spectrum.eigenvalues), np.asarray(weights))
+    return ObjectiveSpec(DiagonalOperator(spectrum.eigenvalues), weights)

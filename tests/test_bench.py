@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from stiefel_agd import bench
 from stiefel_agd.bench import (
     CSV_HEADER,
     ExperimentSpec,
@@ -12,13 +14,14 @@ from stiefel_agd.bench import (
     build_problem,
     fits_from_rows,
     loglog_fit,
+    result_to_json,
     rows_from_csv,
     rows_to_csv,
     run_experiment,
     scaling_points,
     trial_seed,
 )
-from stiefel_agd.errors import DegenerateFitError
+from stiefel_agd.errors import DegenerateFitError, LineSearchFailedError
 from stiefel_agd.solvers import SolverConfig
 
 
@@ -118,6 +121,9 @@ class TestExperimentSpecValidation:
             dict(good, methods=("newton",)),
             dict(good, methods=()),
             dict(good, k=3),  # sphere forces k = 1
+            dict(good, weights="foo"),
+            dict(good, weights=(1.0, 2.0)),  # one weight per column
+            dict(good, problem="brockett", k=2, weights=(1.0,)),
         ):
             with pytest.raises(ValueError):
                 ExperimentSpec(**bad)
@@ -192,6 +198,54 @@ class TestRunExperiment:
             assert pts["agd-function"][i][1] < pts["gd"][i][1]
             assert pts["agd-gradient"][i][1] < pts["gd"][i][1]
         assert result.max_orth_drift <= 1e-8
+
+
+class TestRaisingSolve:
+    """A solve that raises a library error or ValueError becomes a row
+    and the sweep goes on; other exceptions still propagate."""
+
+    def sweep(self, monkeypatch, error):
+        solve = bench.SOLVERS["gd"]
+
+        def flaky(objective, x0, config):
+            if objective.n == 40:
+                raise error
+            return solve(objective, x0, config)
+
+        monkeypatch.setitem(bench.SOLVERS, "gd", flaky)
+        spec = ExperimentSpec(problem="sphere", spectrum="linear",
+                              n_values=(20, 40, 80), trials_per_n=2,
+                              base_seed=0, methods=("gd", "agd-function"),
+                              solver=fast_config())
+        return run_experiment(spec)
+
+    @pytest.mark.parametrize("error", [ValueError("bad"),
+                                       LineSearchFailedError("bad")])
+    def test_raised_cell_becomes_a_row(self, monkeypatch, error):
+        result = self.sweep(monkeypatch, error)
+        assert [(r.method, r.n, r.trial) for r in result.rows] == [
+            (m, n, t) for m in ("agd-function", "gd")
+            for n in (20, 40, 80) for t in range(2)
+        ]
+        raised = [r for r in result.rows if r.termination == bench.RAISED]
+        assert [(r.method, r.n) for r in raised] == [("gd", 40), ("gd", 40)]
+        for r in raised:
+            assert (r.iterations, r.f_evals, r.g_evals, r.restarts) == (0, 0, 0, 0)
+            assert math.isnan(r.final_rel_gradnorm)
+        assert result.failures == raised
+        failures = json.loads(result_to_json(result))["failures"]
+        assert [(f["n"], f["termination"]) for f in failures] == [
+            (40, "raised"), (40, "raised")
+        ]
+        assert len(result.fits["gd"].points) == 2
+        assert len(result.fits["agd-function"].points) == 3
+        # nan != nan, so the round trip is compared as text
+        text = rows_to_csv(result.rows)
+        assert rows_to_csv(rows_from_csv(text)) == text
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        with pytest.raises(RuntimeError):
+            self.sweep(monkeypatch, RuntimeError("bug"))
 
 
 class TestCsvRoundTrip:

@@ -57,6 +57,13 @@ class TestSolveCommand:
 
 
 class TestScalingCommand:
+    def test_sphere_rejects_k(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scaling", "--problem", "sphere", "--k", "3",
+                     "--n-values", "10,20", "--trials", "1"] + FAST)
+        assert exc.value.code == 2
+        assert "k = 1" in capsys.readouterr().err
+
     def test_csv_output_and_determinism(self, tmp_path, capsys):
         args = ["scaling", "--problem", "sphere", "--spectrum", "linear",
                 "--n-values", "30,60", "--trials", "2", "--seed", "0",

@@ -51,6 +51,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             p.x[0, 0] = 7.0
 
+    def test_caller_arrays_are_copied(self):
+        x = np.array([[1.0], [0.0]])
+        w = np.array([[0.0], [2.0]])
+        p = StiefelPoint(x)
+        d = DualTangentVector(w, p)
+        x[0, 0] = 5.0
+        w[1, 0] = 5.0
+        assert p.x[0, 0] == 1.0 and d.w[1, 0] == 2.0
+        assert x.flags.writeable and w.flags.writeable
+
 
 class TestRandomPoint:
     def test_1x1_is_sign(self):

@@ -6,7 +6,9 @@ from stiefel_agd.errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from stiefel_agd.linalg import as_matrix, jacobi_eigh, qr_thin, solve_square
+from stiefel_agd.linalg import as_matrix, as_vector, qr_thin, solve_square
+
+from jacobi import jacobi_eigh
 
 
 class TestSolveSquare:
@@ -147,3 +149,29 @@ class TestAsMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             as_matrix(np.ones(3))
+
+    def test_returns_a_read_only_copy(self):
+        a = np.eye(2)
+        out = as_matrix(a)
+        a[0, 0] = 5.0
+        assert out[0, 0] == 1.0
+        assert a.flags.writeable and not out.flags.writeable
+        assert out.flags.c_contiguous and out.dtype == np.float64
+
+
+class TestAsVector:
+    def test_rejects_empty_and_non_finite(self):
+        for bad in ([], [1.0, np.nan], [np.inf]):
+            with pytest.raises(ValueError):
+                as_vector(bad)
+
+    def test_returns_a_read_only_copy(self):
+        v = np.array([1.0, 2.0])
+        out = as_vector(v)
+        v[0] = 5.0
+        assert out[0] == 1.0
+        assert v.flags.writeable and not out.flags.writeable
+
+    def test_flattens(self):
+        assert as_vector(np.ones((2, 3), order="F")).shape == (6,)
+        assert as_vector(3.0).shape == (1,)

@@ -12,7 +12,6 @@ from stiefel_agd.geometry import (
     project_dual,
     random_point,
 )
-from stiefel_agd.linalg import jacobi_eigh
 from stiefel_agd.objectives import (
     DenseOperator,
     DiagonalOperator,
@@ -26,6 +25,8 @@ from stiefel_agd.objectives import (
     parse_spectrum,
     sphere_condition_number,
 )
+
+from jacobi import jacobi_eigh
 
 
 def fd_directional(spec, x, d, h=1e-5):
@@ -118,6 +119,36 @@ class TestEvaluate:
             DenseOperator(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestCallerArrays:
+    """Each object keeps its own copy: writing to the caller's array
+    afterwards changes neither the object nor what it checked."""
+
+    def test_spectrum(self):
+        lam = np.array([1.0, 2.0, 3.0])
+        spectrum = SpectrumInfo(lam)
+        lam[0] = 100.0
+        assert np.array_equal(spectrum.eigenvalues, [1.0, 2.0, 3.0])
+
+    def test_diagonal_operator(self):
+        values = np.array([1.0, 2.0, 3.0])
+        operator = DiagonalOperator(values)
+        values[0] = 100.0
+        assert np.array_equal(operator.values, [1.0, 2.0, 3.0])
+
+    def test_make_objective_weights(self):
+        w = np.array([1.0, 2.0])
+        objective = make_objective(SpectrumInfo([1.0, 2.0, 3.0]), w)
+        w[0] = -5.0
+        assert np.array_equal(objective.weights, [1.0, 2.0])
+
+    def test_dense_operator_leaves_the_input_writeable(self):
+        a = np.diag([1.0, 2.0])
+        operator = DenseOperator(a)
+        assert a.flags.writeable
+        a[0, 0] = 100.0
+        assert operator.a[0, 0] == 1.0
+
+
 class TestConditionNumbers:
     def test_sphere_linear_spectrum(self):
         spec = SpectrumInfo(np.arange(1.0, 101.0))
@@ -159,6 +190,14 @@ class TestConditionNumbers:
     def test_brockett_degenerate(self):
         with pytest.raises(DegenerateSpectrumError):
             brockett_condition_number(SpectrumInfo([1.0, 2.0, 2.0]), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("function", [brockett_condition_number, known_minimum])
+@pytest.mark.parametrize("weights", [[], [1.0, np.nan], [2.0, 1.0]],
+                         ids=["empty", "nan", "decreasing"])
+def test_bad_weights_rejected(function, weights):
+    with pytest.raises(ValueError):
+        function(SpectrumInfo([1.0, 2.0, 3.0, 4.0, 5.0]), weights)
 
 
 class TestOptimalWeights:
