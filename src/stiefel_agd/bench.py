@@ -75,6 +75,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.problem == "sphere" and self.k != 1:
             raise ValueError("sphere problems have k = 1")
+        if self.problem == "sphere" and not isinstance(self.weights, str):
+            raise ValueError("sphere problems take no explicit weights")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if isinstance(self.weights, str):

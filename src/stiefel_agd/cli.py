@@ -29,6 +29,7 @@ from .bench import (
     rows_to_csv,
     run_experiment,
 )
+from .errors import StiefelAgdError
 from .geometry import random_point
 from .objectives import parse_spectrum
 from .solvers import SolverConfig
@@ -156,7 +157,7 @@ def _cmd_solve(args, parser) -> int:
         spectrum = parse_spectrum(args.spectrum)
         spec = _experiment_spec(args, (spectrum.n,), 1)
         objective, _, _, kappa = build_problem(spec, spectrum.n)
-    except ValueError as exc:
+    except (StiefelAgdError, ValueError) as exc:
         parser.error(str(exc))
     x0 = random_point(spectrum.n, spec.k, args.seed)
 
@@ -185,7 +186,7 @@ def _cmd_scaling(args, parser) -> int:
     try:
         spec = _experiment_spec(args, args.n_values, args.trials)
         result = run_experiment(spec)
-    except ValueError as exc:
+    except (StiefelAgdError, ValueError) as exc:
         parser.error(str(exc))
     if args.format == "csv":
         _emit(rows_to_csv(result.rows), args.out)

@@ -58,24 +58,30 @@ class StiefelPoint:
     """A point on the Stiefel manifold: n x k matrix, orthonormal columns.
 
     ``orth_error`` records ||x^T x - I||_F as measured at construction; it
-    is what solvers report as orthonormality drift.
+    is what solvers report as orthonormality drift. ``xtx`` is the
+    read-only Gram matrix x^T x that the check forms, kept for the Cayley
+    retraction from this point.
     """
 
     x: np.ndarray
     orth_error: float = field(init=False)
+    xtx: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = as_matrix(self.x, "stiefel point")
         n, k = x.shape
         if k > n:
             raise ValueError(f"need k <= n, got shape {x.shape}")
-        err = float(np.linalg.norm(x.T @ x - np.eye(k)))
+        xtx = x.T @ x
+        err = float(np.linalg.norm(xtx - np.eye(k)))
         if err > INVARIANT_TOL:
             raise ValueError(
                 f"columns are not orthonormal: ||x^T x - I||_F = {err:.3e}"
             )
+        xtx.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "orth_error", err)
+        object.__setattr__(self, "xtx", xtx)
 
     @property
     def n(self) -> int:
@@ -169,9 +175,9 @@ def dual_metric(w1: DualTangentVector, w2: DualTangentVector) -> float:
     """Induced inner product on dual vectors: Tr(w1^T (I + X X^T) w2)."""
     _check_base(w1, w2)
     x = w1.base.x
-    return float(
-        np.vdot(w1.w, w2.w) + np.vdot(x.T @ w1.w, x.T @ w2.w)
-    )
+    xtw1 = x.T @ w1.w
+    xtw2 = xtw1 if w2 is w1 else x.T @ w2.w
+    return float(np.vdot(w1.w, w2.w) + np.vdot(xtw1, xtw2))
 
 
 def dual_norm(w: DualTangentVector) -> float:
@@ -204,19 +210,21 @@ def cayley_retract(base: StiefelPoint, w: DualTangentVector, scale: float) -> St
     x = base.x
     ws = (0.5 * scale) * w.w
     u = np.concatenate((ws, x), axis=1)
-    m2 = u.shape[1]
-    # Z^T U and Z^T X assembled blockwise, Z = [X, -scale*W/2]
     k = base.k
     xtws = x.T @ ws
-    xtx = x.T @ x
-    ztu = np.empty((m2, m2))
-    ztu[:k, :k] = xtws
-    ztu[:k, k:] = xtx
-    ztu[k:, :k] = -(ws.T @ ws)
-    ztu[k:, k:] = -xtws.T
+    xtx = base.xtx
+    # I - Z^T U assembled blockwise in place, Z = [X, -scale*W/2]:
+    # [[I - X^T Ws, -X^T X], [Ws^T Ws, I + Ws^T X]]. Negating and then
+    # adding the identity is exact: 0 - v = -v and 1 - v = -v + 1.
+    lhs = np.empty((2 * k, 2 * k))
+    np.negative(xtws, out=lhs[:k, :k])
+    np.negative(xtx, out=lhs[:k, k:])
+    lhs[k:, :k] = ws.T @ ws
+    lhs[k:, k:] = xtws.T
+    lhs.flat[:: 2 * k + 1] += 1.0
     ztx = np.concatenate((xtx, -xtws.T))
     try:
-        s = solve_square(np.eye(m2) - ztu, ztx)
+        s = solve_square(lhs, ztx)
     except SingularMatrixError as exc:
         raise RetractionFailedError(
             f"Cayley solve failed at step scale {scale!r}: {exc}"

@@ -9,7 +9,7 @@ numpy/scipy (LAPACK) behind this surface.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgesv
 
 from .errors import RankDeficientError, SingularMatrixError
 
@@ -26,7 +26,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     a.flags.writeable = False
     return a
@@ -38,7 +38,7 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
     Raises ValueError if the input is empty or contains NaN/Inf.
     """
     v = np.array(data, dtype=np.float64, order="C").reshape(-1)
-    if v.size < 1 or not np.all(np.isfinite(v)):
+    if v.size < 1 or not np.isfinite(v).all():
         raise ValueError(f"{name} must be a non-empty finite vector")
     v.flags.writeable = False
     return v
@@ -57,19 +57,17 @@ def solve_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != a.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     m = a.shape[0]
-    # the LAPACK routines behind scipy.linalg.lu_factor/lu_solve, called
-    # directly: the wrappers cost several times the solve at this size
-    lu, piv, info = dgetrf(a)
+    # LAPACK dgesv (dgetrf + dgetrs in one call) directly: the scipy
+    # wrappers cost several times the solve at this size
+    lu, _, x, info = dgesv(a, b)
     if info < 0:
-        raise ValueError(f"illegal argument {-info} to dgetrf")
-    pivots = np.abs(np.diag(lu))
-    if not np.all(pivots > m * _EPS * max(pivots.max(), 1e-300)):
+        raise ValueError(f"illegal argument {-info} to dgesv")
+    # fails for a NaN pivot, and for a zero one (info > 0: x not solved)
+    pivots = np.abs(lu.diagonal())
+    if not pivots.min() > m * _EPS * max(pivots.max(), 1e-300):
         raise SingularMatrixError(
             f"{m}x{m} system is singular to working precision"
         )
-    x, info = dgetrs(lu, piv, b)
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} to dgetrs")
     return x
 
 

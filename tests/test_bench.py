@@ -121,6 +121,7 @@ class TestExperimentSpecValidation:
             dict(good, methods=("newton",)),
             dict(good, methods=()),
             dict(good, k=3),  # sphere forces k = 1
+            dict(good, weights=(2.0,)),  # and weight 1
             dict(good, weights="foo"),
             dict(good, weights=(1.0, 2.0)),  # one weight per column
             dict(good, problem="brockett", k=2, weights=(1.0,)),

@@ -37,6 +37,19 @@ class TestSolveCommand:
             run_cli(["solve", "--spectrum", "linear:10", "--k", "3"] + FAST)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["scaling", "--n-values", "4", "--trials", "1"],
+    ])
+    def test_degenerate_spectrum_exits_2(self, command, tmp_path, capsys):
+        spectrum = tmp_path / "dup.txt"
+        spectrum.write_text("1\n1\n2\n3\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + ["--problem", "brockett", "--spectrum",
+                               f"file:{spectrum}", "--k", "2"] + FAST)
+        assert exc.value.code == 2
+        assert "zero gap" in capsys.readouterr().err
+
     def test_method_all_prints_three_rows(self, capsys):
         rc = run_cli(["solve", "--spectrum", "linear:30", "--method", "all",
                       "--seed", "1"] + FAST)

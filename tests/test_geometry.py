@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from stiefel_agd.geometry import (
     DualTangentVector,
@@ -32,6 +33,27 @@ def cayley_1d(w_scalar):
     return np.array([[(1.0 - w_scalar**2 / 4.0) / c], [w_scalar / c]])
 
 
+def cayley_smw(base, w, scale):
+    """The Cayley retraction as the module docstring writes it, with
+    I - Z^T U formed by subtraction from a fresh X^T X, solved by LAPACK
+    dgetrf/dgetrs."""
+    x = base.x
+    k = base.k
+    ws = (0.5 * scale) * w.w
+    u = np.concatenate((ws, x), axis=1)
+    xtws = x.T @ ws
+    xtx = x.T @ x
+    ztu = np.empty((2 * k, 2 * k))
+    ztu[:k, :k] = xtws
+    ztu[:k, k:] = xtx
+    ztu[k:, :k] = -(ws.T @ ws)
+    ztu[k:, k:] = -xtws.T
+    ztx = np.concatenate((xtx, -xtws.T))
+    lu, piv, _ = dgetrf(np.eye(2 * k) - ztu)
+    s, _ = dgetrs(lu, piv, ztx)
+    return x + 2.0 * (u @ s)
+
+
 class TestTypes:
     def test_point_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -50,6 +72,12 @@ class TestTypes:
         p = random_point(5, 2, 0)
         with pytest.raises(ValueError):
             p.x[0, 0] = 7.0
+
+    def test_gram_matrix_is_read_only_xtx(self):
+        p = random_point(7, 3, 1)
+        assert np.array_equal(p.xtx, p.x.T @ p.x)
+        with pytest.raises(ValueError):
+            p.xtx[0, 0] = 7.0
 
     def test_caller_arrays_are_copied(self):
         x = np.array([[1.0], [0.0]])
@@ -195,6 +223,15 @@ class TestCayleyRetract:
         x = random_point(12, 3, 15)
         w = rand_dual(x, rng)
         assert cayley_retract(x, w, 0.0) is x
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (9, 1), (5, 5), (1, 1)])
+    @pytest.mark.parametrize("scale", [-0.3, 1.0, -7.5])
+    def test_same_bits_as_the_smw_formula(self, n, k, scale):
+        rng = np.random.default_rng(n * 10 + k)
+        x = random_point(n, k, n + k)
+        w = rand_dual(x, rng)
+        assert np.array_equal(cayley_retract(x, w, scale).x,
+                              cayley_smw(x, w, scale))
 
     def test_closed_form_on_circle(self):
         x = StiefelPoint(np.array([[1.0], [0.0]]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from stiefel_agd.errors import (
     NotSymmetricError,
@@ -45,6 +46,30 @@ class TestSolveSquare:
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-17]])
         with pytest.raises(SingularMatrixError):
             solve_square(a, np.eye(2))
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 0.0], [0.0, np.nan]]),
+        # pivot 2 eps is the threshold m eps max|pivot|; the test is strict
+        np.diag([1.0, 2.0 * np.finfo(float).eps]),
+        np.diag([1.0, np.nextafter(2.0 * np.finfo(float).eps, 0.0)]),
+    ], ids=["nan", "at-threshold", "under-threshold"])
+    def test_negligible_or_nan_pivot_raises(self, a):
+        with pytest.raises(SingularMatrixError):
+            solve_square(a, np.eye(2))
+
+    def test_pivot_over_threshold_solves(self):
+        p = np.nextafter(2.0 * np.finfo(float).eps, 1.0)
+        x = solve_square(np.diag([1.0, p]), np.eye(2))
+        assert np.array_equal(x, np.diag([1.0, 1.0 / p]))
+
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_same_bits_as_dgetrf_dgetrs(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m))
+        b = rng.standard_normal((m, 3))
+        lu, piv, _ = dgetrf(a)
+        expected, _ = dgetrs(lu, piv, b)
+        assert np.array_equal(solve_square(a, b), expected)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
