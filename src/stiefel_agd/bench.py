@@ -44,17 +44,17 @@ from .solvers import (
     gradient_descent,
 )
 
-METHODS = ("gd", "agd-function", "agd-gradient")
-
-#: Termination of a row whose solve raised; its counters are zero and its
-#: final_rel_gradnorm is nan.
-RAISED = "raised"
-
 SOLVERS = {
     "gd": gradient_descent,
     "agd-function": agd_function_restart,
     "agd-gradient": agd_gradient_restart,
 }
+METHODS = tuple(SOLVERS)
+
+#: Termination of a row whose solve raised; its counters are zero and its
+#: final_rel_gradnorm is nan.
+RAISED = "raised"
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -163,14 +163,12 @@ def _weights_for(spec: ExperimentSpec, spectrum: SpectrumInfo):
     return spec.weights
 
 
-def build_problem(
-    spec: ExperimentSpec, n: int
-) -> tuple[ObjectiveSpec, SpectrumInfo, np.ndarray, float]:
-    """Objective, spectrum, weights and Hessian condition number for one n."""
+def build_problem(spec: ExperimentSpec, n: int) -> tuple[ObjectiveSpec, float]:
+    """Objective and Hessian condition number for one n; the weights are
+    ``objective.weights``."""
     spectrum = _spectrum_for(spec.spectrum, n)
     objective = make_objective(spectrum, _weights_for(spec, spectrum))
-    kappa = brockett_condition_number(spectrum, objective.weights)
-    return objective, spectrum, objective.weights, kappa
+    return objective, brockett_condition_number(spectrum, objective.weights)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -179,7 +177,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     rows: list[TrialRow] = []
     max_drift = 0.0
     for n in spec.n_values:
-        objective, _, _, kappa = build_problem(spec, n)
+        objective, kappa = build_problem(spec, n)
         for trial in range(spec.trials_per_n):
             seed = trial_seed(spec.base_seed, n, trial)
             x0 = random_point(n, spec.k, seed)

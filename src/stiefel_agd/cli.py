@@ -56,7 +56,18 @@ def _weights_arg(text: str):
         )
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _shared_flags() -> argparse.ArgumentParser:
+    """Flags of both ``solve`` and ``scaling``: the problem, the seed, the
+    output file and the solver tunables."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--problem", choices=("sphere", "brockett"), default="sphere")
+    p.add_argument("--k", type=int, default=None,
+                   help="number of columns (brockett only; default 10)")
+    p.add_argument("--weights", type=_weights_arg, default="optimal")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path, default=None,
+                   help="write the final point X (solve) or the rows (scaling) "
+                        "to this file")
     defaults = SolverConfig()
     p.add_argument("--tol", dest="epsilon", type=float, default=defaults.epsilon,
                    help="relative gradient-norm stopping tolerance")
@@ -70,6 +81,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="function-restart sufficient-decrease parameter")
     p.add_argument("--max-iter", type=int, default=defaults.max_iter,
                    help="iteration budget per run")
+    return p
 
 
 def _solver_config(args) -> SolverConfig:
@@ -84,37 +96,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Accelerated gradient descent on the Stiefel manifold",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = [_shared_flags()]
 
-    solve = sub.add_parser("solve", help="solve a single problem instance")
-    solve.add_argument("--problem", choices=("sphere", "brockett"), default="sphere")
+    solve = sub.add_parser("solve", parents=shared,
+                           help="solve a single problem instance")
     solve.add_argument("--spectrum", required=True,
                        help="linear:N | quadratic:N | file:PATH")
-    solve.add_argument("--k", type=int, default=None,
-                       help="number of columns (brockett only; default 10)")
-    solve.add_argument("--weights", type=_weights_arg, default="optimal")
     solve.add_argument("--method", choices=METHODS + ("all",),
                        default="agd-function")
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--out", type=Path, default=None,
-                       help="write the final point X to this file (text)")
-    _add_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
 
-    scaling = sub.add_parser("scaling", help="condition-number scaling sweep")
-    scaling.add_argument("--problem", choices=("sphere", "brockett"),
-                         default="sphere")
+    scaling = sub.add_parser("scaling", parents=shared,
+                             help="condition-number scaling sweep")
     scaling.add_argument("--spectrum", default="linear",
                          help="family (linear | quadratic) applied at each n")
-    scaling.add_argument("--k", type=int, default=None)
-    scaling.add_argument("--weights", type=_weights_arg, default="optimal")
+    scaling.add_argument("--method", choices=METHODS + ("all",), default="all")
     scaling.add_argument("--n-values", type=_positive_int_list, required=True,
                          help="comma-separated problem sizes, ascending")
     scaling.add_argument("--trials", type=int, default=10)
-    scaling.add_argument("--seed", type=int, default=0)
-    scaling.add_argument("--method", choices=METHODS + ("all",), default="all")
-    scaling.add_argument("--out", type=Path, default=None)
     scaling.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_solver_flags(scaling)
     scaling.set_defaults(func=_cmd_scaling)
 
     fit = sub.add_parser("fit", help="recompute fits from a scaling CSV")
@@ -152,13 +152,10 @@ def _experiment_spec(args, n_values, trials_per_n: int) -> ExperimentSpec:
     )
 
 
-def _cmd_solve(args, parser) -> int:
-    try:
-        spectrum = parse_spectrum(args.spectrum)
-        spec = _experiment_spec(args, (spectrum.n,), 1)
-        objective, _, _, kappa = build_problem(spec, spectrum.n)
-    except (StiefelAgdError, ValueError) as exc:
-        parser.error(str(exc))
+def _cmd_solve(args) -> int:
+    spectrum = parse_spectrum(args.spectrum)
+    spec = _experiment_spec(args, (spectrum.n,), 1)
+    objective, kappa = build_problem(spec, spectrum.n)
     x0 = random_point(spectrum.n, spec.k, args.seed)
 
     print(f"problem: {args.problem}  n={spectrum.n}  k={spec.k}  kappa={kappa:.6g}")
@@ -176,18 +173,14 @@ def _cmd_solve(args, parser) -> int:
         print(f"  final f = {trace.final_value!r}")
         if best is None or trace.final_value < best.final_value:
             best = trace
-    if args.out is not None and best is not None and best.final_point is not None:
+    if args.out is not None:
         np.savetxt(args.out, best.final_point.x)
         print(f"wrote X to {args.out}")
     return 0
 
 
-def _cmd_scaling(args, parser) -> int:
-    try:
-        spec = _experiment_spec(args, args.n_values, args.trials)
-        result = run_experiment(spec)
-    except (StiefelAgdError, ValueError) as exc:
-        parser.error(str(exc))
+def _cmd_scaling(args) -> int:
+    result = run_experiment(_experiment_spec(args, args.n_values, args.trials))
     if args.format == "csv":
         _emit(rows_to_csv(result.rows), args.out)
     else:
@@ -195,12 +188,8 @@ def _cmd_scaling(args, parser) -> int:
     return 0
 
 
-def _cmd_fit(args, parser) -> int:
-    try:
-        rows = rows_from_csv(args.csv.read_text())
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    fits = fits_from_rows(rows)
+def _cmd_fit(args) -> int:
+    fits = fits_from_rows(rows_from_csv(args.csv.read_text()))
     _emit(json.dumps(fits_to_dict(fits), indent=2, sort_keys=True), args.out)
     return 0
 
@@ -209,7 +198,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    rc = args.func(args, parser)
+    try:
+        rc = args.func(args)
+    except (StiefelAgdError, ValueError, OSError) as exc:
+        # bad input, an unreadable file or a solve that raised: one line, exit 2
+        parser.error(str(exc))
     if args.command == "scaling" and args.out is not None:
         print(f"done in {time.perf_counter() - started:.2f} s -> {args.out}",
               file=sys.stderr)

@@ -15,13 +15,15 @@ with two parameter regimes:
 
   * q-schedule: alpha_t = q_t / (2 + q_{t+1}) for any non-negative q with
     q_0 = 0 and (q_{t+1} + 1)^2 <= (q_t + 2)^2 + 1, together with
-    non-increasing steps satisfying the Armijo 1/2 decrease. The default
-    q_t = t gives the classical 2 L t^{-2} rate; the certificate is the
-    Lyapunov function computed by ``lyapunov_value``.
+    non-increasing steps satisfying the Armijo 1/2 decrease. The
+    iteration here runs q_t = t, which gives the classical 2 L t^{-2}
+    rate; the certificate is the Lyapunov function computed by
+    ``lyapunov_value``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,16 +62,15 @@ class MomentumSchedule:
 
 @dataclass(frozen=True)
 class QScheduleMode:
-    """Line-search-free q-schedule regime with a fixed step size, which
-    must satisfy the Armijo 1/2 decrease for the objective at hand
+    """Line-search-free q-schedule regime, q_t = t, with a fixed step size,
+    which must satisfy the Armijo 1/2 decrease for the objective at hand
     (gamma <= 1/L suffices for an L-smooth objective)."""
 
     gamma: float
-    schedule: MomentumSchedule = field(default_factory=MomentumSchedule)
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("step size must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("step size must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ class StronglyConvexMode:
     L: float
 
     def __post_init__(self):
-        if not 0.0 < self.mu <= self.L:
-            raise ValueError("need 0 < mu <= L")
+        if not 0.0 < self.mu <= self.L < math.inf:
+            raise ValueError("need 0 < mu <= L < inf")
 
     @property
     def alpha(self) -> float:
@@ -92,12 +93,11 @@ class StronglyConvexMode:
 
 @dataclass(frozen=True)
 class EuclideanTrajectory:
-    """Full (x_t, y_t, gamma_t) history of a run; xs and ys have shape
-    (steps + 1, dim), gammas has length steps + 1."""
+    """Full (x_t, y_t) history of a run; xs and ys have shape
+    (steps + 1, dim)."""
 
     xs: np.ndarray
     ys: np.ndarray
-    gammas: np.ndarray
 
 
 def euclidean_agd(
@@ -114,28 +114,23 @@ def euclidean_agd(
         raise ValueError("steps must be non-negative")
 
     if isinstance(mode, StronglyConvexMode):
-        gamma_of = lambda t: 1.0 / mode.L
+        gamma = 1.0 / mode.L
         alpha_of = lambda t: mode.alpha
     elif isinstance(mode, QScheduleMode):
-        gamma_of = lambda t: mode.gamma
-        alpha_of = mode.schedule.alpha
+        gamma = mode.gamma
+        alpha_of = MomentumSchedule().alpha
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     xs = np.empty((steps + 1, x.size))
     ys = np.empty((steps + 1, x.size))
-    gammas = np.empty(steps + 1)
     xs[0] = x
     ys[0] = x
-    gammas[0] = gamma_of(0)
     for t in range(steps):
-        gamma = gamma_of(t)
-        gammas[t] = gamma
         x_next = ys[t] - gamma * grad_f(ys[t])
         xs[t + 1] = x_next
         ys[t + 1] = x_next + alpha_of(t) * (x_next - xs[t])
-    gammas[steps] = gamma_of(steps)
-    return EuclideanTrajectory(xs, ys, gammas)
+    return EuclideanTrajectory(xs, ys)
 
 
 def lyapunov_value(

@@ -122,18 +122,19 @@ class ObjectiveSpec:
     def k(self) -> int:
         return self.weights.size
 
-    def _check_point(self, x: StiefelPoint) -> None:
+    def _evaluate(self, x: StiefelPoint) -> tuple[np.ndarray, float]:
+        """A X and the objective value; one operator application."""
         if x.n != self.n or x.k != self.k:
             raise ValueError(
                 f"point shape ({x.n}, {x.k}) does not match objective "
                 f"({self.n}, {self.k})"
             )
+        ax = self.operator.apply(x.x)
+        return ax, 0.5 * float(np.einsum("ij,ij,j->", x.x, ax, self.weights))
 
     def value(self, x: StiefelPoint) -> float:
         """Objective value; one operator application."""
-        self._check_point(x)
-        ax = self.operator.apply(x.x)
-        return 0.5 * float(np.einsum("ij,ij,j->", x.x, ax, self.weights))
+        return self._evaluate(x)[1]
 
     def value_and_gradient(self, x: StiefelPoint) -> EvalResult:
         """Value and dual-tangent gradient; one operator application.
@@ -142,11 +143,8 @@ class ObjectiveSpec:
         A X diag(alpha); the dual gradient is its projection onto the
         dual tangent space at X.
         """
-        self._check_point(x)
-        ax = self.operator.apply(x.x)
-        value = 0.5 * float(np.einsum("ij,ij,j->", x.x, ax, self.weights))
-        euclid = ax * self.weights[None, :]
-        return EvalResult(value, project_dual(x, euclid))
+        ax, value = self._evaluate(x)
+        return EvalResult(value, project_dual(x, ax * self.weights[None, :]))
 
 
 def sphere_condition_number(spectrum: SpectrumInfo) -> float:

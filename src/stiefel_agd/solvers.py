@@ -44,6 +44,8 @@ one gradient evaluation.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -99,18 +101,19 @@ class SolverConfig:
     max_iter: int = 1_000_000
 
     def __post_init__(self):
-        if self.gamma0 <= 0.0:
-            raise ValueError("gamma0 must be positive")
-        if self.lambda_d <= 1.0:
-            raise ValueError("lambda_d must exceed 1")
+        # each rule is a range that NaN and inf fall outside of
+        if not 0.0 < self.gamma0 < math.inf:
+            raise ValueError("gamma0 must be positive and finite")
+        if not 1.0 < self.lambda_d < math.inf:
+            raise ValueError("lambda_d must exceed 1 and be finite")
         if not 0.5 < self.c_l < 1.0:
             raise ValueError("c_l must lie in (1/2, 1)")
         if not 0.0 < self.c_r < 0.5:
             raise ValueError("c_r must lie in (0, 1/2)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iter < 0:
-            raise ValueError("invalid iteration budget")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ValueError("max_iter must be an integer >= 0")
 
 
 class IterationRecord(NamedTuple):

@@ -134,7 +134,8 @@ class TestExperimentSpecValidation:
                               n_values=(100,), trials_per_n=1, base_seed=0,
                               methods=("gd",), solver=fast_config(), k=10,
                               weights="optimal")
-        _, _, weights, kappa = build_problem(spec, 100)
+        objective, kappa = build_problem(spec, 100)
+        weights = objective.weights
         assert np.array_equal(weights, np.arange(1.0, 11.0))
         assert kappa == pytest.approx(990.0)
 
@@ -143,7 +144,8 @@ class TestExperimentSpecValidation:
                               n_values=(50,), trials_per_n=1, base_seed=0,
                               methods=("gd",), solver=fast_config(), k=2,
                               weights=(1.0, 3.0))
-        _, _, weights, _ = build_problem(spec, 50)
+        objective, _ = build_problem(spec, 50)
+        weights = objective.weights
         assert np.array_equal(weights, [1.0, 3.0])
 
     def test_fixed_spectrum_must_match_n(self):

@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from stiefel_agd import bench
 from stiefel_agd.bench import rows_from_csv
 from stiefel_agd.cli import _solver_config, build_parser, main
+from stiefel_agd.errors import LineSearchFailedError
 from stiefel_agd.solvers import SolverConfig
 
 FAST = ["--tol", "1e-6"]
@@ -150,3 +152,90 @@ class TestSolverFlags:
     def test_defaults_match_solver_config(self, command):
         args = build_parser().parse_args(command)
         assert _solver_config(args) == SolverConfig()
+
+
+#: The flags both subcommands need to run; the sizes differ by subcommand.
+COMMANDS = {
+    "solve": ["solve", "--spectrum", "linear:10"],
+    "scaling": ["scaling", "--n-values", "10", "--trials", "1"],
+}
+
+
+class TestErrorBoundary:
+    """Bad input, an unreadable file and a solve that raises each end in
+    one usage-error line and exit 2, not a traceback."""
+
+    def exit_2(self, argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv[:1] + FAST + argv[1:])  # argv's own flags win
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "stiefel-agd: error: " in err
+        return err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_unreadable_spectrum_file(self, command, case, tmp_path, capsys):
+        path = tmp_path / "missing.txt" if case == "missing" else tmp_path
+        argv = ["solve"] if command == "solve" else ["scaling", "--n-values", "4"]
+        err = self.exit_2(argv + ["--spectrum", f"file:{path}"], capsys)
+        assert str(path) in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_into_missing_directory(self, command, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        err = self.exit_2(COMMANDS[command] + ["--method", "gd",
+                                               "--out", str(target)], capsys)
+        assert str(target) in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_nan_tolerance(self, command, capsys):
+        err = self.exit_2(COMMANDS[command] + ["--tol", "nan"], capsys)
+        assert "epsilon" in err
+
+    @pytest.mark.parametrize("error", [ValueError("bad solve"),
+                                       LineSearchFailedError("no Armijo step")])
+    def test_raising_solve_stops_method_all(self, error, monkeypatch, capsys):
+        def raising(objective, x0, config):
+            raise error
+
+        monkeypatch.setitem(bench.SOLVERS, "gd", raising)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(COMMANDS["solve"] + ["--method", "all"] + FAST)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert str(error) in captured.err
+        assert "agd-" not in captured.out  # gd runs first; nothing after it
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def raising(objective, x0, config):
+            raise RuntimeError("not an input error")
+
+        monkeypatch.setitem(bench.SOLVERS, "gd", raising)
+        with pytest.raises(RuntimeError):
+            run_cli(COMMANDS["solve"] + ["--method", "gd"] + FAST)
+
+
+class TestFlagSet:
+    SOLVER_DEFAULTS = {"epsilon": 1e-10, "gamma0": 0.1, "lambda_d": 1.7,
+                       "c_l": 0.7, "c_r": 0.01, "max_iter": 1000000}
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["solve", "--spectrum", "linear:10"],
+         {"command": "solve", "problem": "sphere", "spectrum": "linear:10",
+          "k": None, "weights": "optimal", "method": "agd-function",
+          "seed": 0, "out": None}),
+        (["scaling", "--n-values", "10"],
+         {"command": "scaling", "problem": "sphere", "spectrum": "linear",
+          "k": None, "weights": "optimal", "n_values": (10,), "trials": 10,
+          "seed": 0, "method": "all", "out": None, "format": "csv"}),
+    ], ids=["solve", "scaling"])
+    def test_names_and_defaults(self, argv, expected):
+        parsed = vars(build_parser().parse_args(argv))
+        parsed.pop("func")
+        assert parsed == {**expected, **self.SOLVER_DEFAULTS}
+
+    def test_method_choices(self):
+        # --method takes these or "all", which runs them in this order
+        assert bench.METHODS == ("gd", "agd-function", "agd-gradient")

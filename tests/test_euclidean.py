@@ -80,10 +80,13 @@ class TestEuclideanAgd:
                 assert f(traj.xs[t]) <= 2.0 * L * r0 / t**2 * (1.0 + 1e-12)
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            StronglyConvexMode(mu=2.0, L=1.0)
-        with pytest.raises(ValueError):
-            QScheduleMode(gamma=0.0)
+        for mu, L in ((2.0, 1.0), (float("nan"), 1.0), (1.0, float("nan")),
+                      (1.0, float("inf"))):
+            with pytest.raises(ValueError):
+                StronglyConvexMode(mu=mu, L=L)
+        for gamma in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                QScheduleMode(gamma=gamma)
         f, g = quadratic([1.0], [0.0])
         with pytest.raises(ValueError):
             euclidean_agd(f, g, [1.0], QScheduleMode(gamma=1.0), steps=-1)

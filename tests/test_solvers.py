@@ -62,6 +62,16 @@ class TestSolverConfig:
             {"c_r": 0.5},
             {"epsilon": 0.0},
             {"max_iter": -1},
+            {"gamma0": float("nan")},
+            {"gamma0": float("inf")},
+            {"lambda_d": float("nan")},
+            {"lambda_d": float("inf")},
+            {"c_l": float("nan")},
+            {"c_r": float("nan")},
+            {"epsilon": float("nan")},
+            {"epsilon": float("inf")},
+            {"max_iter": float("nan")},
+            {"max_iter": 10.5},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
