@@ -15,7 +15,6 @@ from .errors import (
 )
 from .euclidean import (
     EuclideanTrajectory,
-    MomentumSchedule,
     QScheduleMode,
     StronglyConvexMode,
     euclidean_agd,

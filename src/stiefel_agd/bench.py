@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 import zlib
 from dataclasses import dataclass
@@ -71,6 +72,9 @@ class ExperimentSpec:
     weights: str | tuple[float, ...] = "optimal"
 
     def __post_init__(self):
+        sizes = (self.k, self.trials_per_n, self.base_seed, *self.n_values)
+        if not all(isinstance(v, numbers.Integral) for v in sizes):
+            raise ValueError("k, trials_per_n, base_seed and n_values must be integers")
         if self.problem not in ("sphere", "brockett"):
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.problem == "sphere" and self.k != 1:

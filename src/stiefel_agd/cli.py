@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="linear:N | quadratic:N | file:PATH")
     solve.add_argument("--method", choices=METHODS + ("all",),
                        default="agd-function")
-    solve.set_defaults(func=_cmd_solve)
+    solve.set_defaults(func=_cmd_solve, parser=solve)
 
     scaling = sub.add_parser("scaling", parents=shared,
                              help="condition-number scaling sweep")
@@ -115,12 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated problem sizes, ascending")
     scaling.add_argument("--trials", type=int, default=10)
     scaling.add_argument("--format", choices=("csv", "json"), default="csv")
-    scaling.set_defaults(func=_cmd_scaling)
+    scaling.set_defaults(func=_cmd_scaling, parser=scaling)
 
     fit = sub.add_parser("fit", help="recompute fits from a scaling CSV")
     fit.add_argument("csv", type=Path, help="CSV written by the scaling command")
     fit.add_argument("--out", type=Path, default=None)
-    fit.set_defaults(func=_cmd_fit)
+    fit.set_defaults(func=_cmd_fit, parser=fit)
 
     return parser
 
@@ -195,14 +195,18 @@ def _cmd_fit(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # checked before any work and without touching the file, so a failed
+    # run never clobbers an earlier output
+    if args.out is not None and not args.out.parent.is_dir():
+        args.parser.error(f"cannot write {args.out}: no directory {args.out.parent}")
     started = time.perf_counter()
     try:
         rc = args.func(args)
     except (StiefelAgdError, ValueError, OSError) as exc:
-        # bad input, an unreadable file or a solve that raised: one line, exit 2
-        parser.error(str(exc))
+        # bad input, an unreadable file or a solve that raised: the
+        # subcommand's usage line, one error line, exit 2
+        args.parser.error(str(exc))
     if args.command == "scaling" and args.out is not None:
         print(f"done in {time.perf_counter() - started:.2f} s -> {args.out}",
               file=sys.stderr)

@@ -24,40 +24,10 @@ with two parameter regimes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MomentumSchedule:
-    """Momentum schedule defined by a q-sequence rule.
-
-    ``alpha(t)`` is the Euclidean momentum coefficient; the manifold
-    solvers use ``extrapolation_factor(t) = 1 + alpha(t)``, which for the
-    default q_t = t is 1 + t/(t+3).
-    """
-
-    q: Callable[[int], float] = field(default=float)
-
-    def alpha(self, t: int) -> float:
-        return self.q(t) / (2.0 + self.q(t + 1))
-
-    def extrapolation_factor(self, t: int) -> float:
-        return 1.0 + self.alpha(t)
-
-    def is_admissible(self, t_max: int) -> bool:
-        """Check q_0 = 0 and (q_{t+1} + 1)^2 <= (q_t + 2)^2 + 1 up to t_max."""
-        if self.q(0) != 0.0:
-            return False
-        prev = 0.0
-        for t in range(t_max):
-            nxt = self.q(t + 1)
-            if nxt < 0.0 or (nxt + 1.0) ** 2 > (prev + 2.0) ** 2 + 1.0:
-                return False
-            prev = nxt
-        return True
 
 
 @dataclass(frozen=True)
@@ -118,7 +88,7 @@ def euclidean_agd(
         alpha_of = lambda t: mode.alpha
     elif isinstance(mode, QScheduleMode):
         gamma = mode.gamma
-        alpha_of = MomentumSchedule().alpha
+        alpha_of = lambda t: t / (t + 3.0)  # q_t / (2 + q_{t+1}) with q_t = t
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -55,7 +55,6 @@ from .errors import (
     LineSearchFailedError,
     RetractionFailedError,
 )
-from .euclidean import MomentumSchedule
 from .geometry import (
     DualTangentVector,
     StiefelPoint,
@@ -73,9 +72,6 @@ LINE_SEARCH_FAILED = "line_search_failed"
 #: Line-search trials allowed in one pass before the run stops with
 #: LINE_SEARCH_FAILED.
 LINESEARCH_TRIALS = 60
-
-#: Momentum schedule of both accelerated solvers: q_t = t.
-_SCHEDULE = MomentumSchedule()
 
 #: Numerical failures of the momentum path; each one resets the momentum
 #: instead of ending the run.
@@ -286,7 +282,7 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
             y = x_next
             if restart is not None:
                 try:
-                    y = lerp(x, x_next, _SCHEDULE.extrapolation_factor(k))
+                    y = lerp(x, x_next, 1.0 + k / (k + 3.0))
                     applied_k, k = k, k + 1
                 except _MOMENTUM_FAILURES:
                     # keep the accepted step; momentum resets

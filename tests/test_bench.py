@@ -125,6 +125,12 @@ class TestExperimentSpecValidation:
             dict(good, weights="foo"),
             dict(good, weights=(1.0, 2.0)),  # one weight per column
             dict(good, problem="brockett", k=2, weights=(1.0,)),
+            # sizes and seeds are integers
+            dict(good, problem="brockett", k=2.5),
+            dict(good, trials_per_n=1.5),
+            dict(good, base_seed=0.5),
+            dict(good, n_values=(10, 20.5)),
+            dict(good, n_values=(10.0, 20)),
         ):
             with pytest.raises(ValueError):
                 ExperimentSpec(**bad)

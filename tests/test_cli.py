@@ -163,7 +163,8 @@ COMMANDS = {
 
 class TestErrorBoundary:
     """Bad input, an unreadable file and a solve that raises each end in
-    one usage-error line and exit 2, not a traceback."""
+    the subcommand's usage line, one error line and exit 2, not a
+    traceback."""
 
     def exit_2(self, argv, capsys) -> str:
         with pytest.raises(SystemExit) as exc:
@@ -171,7 +172,8 @@ class TestErrorBoundary:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert "stiefel-agd: error: " in err
+        assert err.startswith(f"usage: stiefel-agd {argv[0]} [-h]")
+        assert f"stiefel-agd {argv[0]}: error: " in err
         return err
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -183,11 +185,34 @@ class TestErrorBoundary:
         assert str(path) in err
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_out_into_missing_directory(self, command, tmp_path, capsys):
+    def test_out_into_missing_directory(self, command, tmp_path, monkeypatch,
+                                        capsys):
+        def unreachable(objective, x0, config):
+            pytest.fail("solved before checking --out")
+
+        monkeypatch.setitem(bench.SOLVERS, "gd", unreachable)
         target = tmp_path / "missing" / "out.txt"
         err = self.exit_2(COMMANDS[command] + ["--method", "gd",
                                                "--out", str(target)], capsys)
         assert str(target) in err
+
+    def test_fit_out_into_missing_directory(self, tmp_path, capsys):
+        # rejected before the CSV is read, so its absence goes unreported
+        target = tmp_path / "missing" / "fits.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["fit", str(tmp_path / "rows.csv"), "--out", str(target)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"stiefel-agd fit: error: cannot write {target}" in err
+        assert "rows.csv" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failed_run_keeps_earlier_output(self, command, tmp_path, capsys):
+        target = tmp_path / "out.txt"
+        target.write_text("earlier output\n")
+        self.exit_2(COMMANDS[command] + ["--tol", "nan", "--out", str(target)],
+                    capsys)
+        assert target.read_text() == "earlier output\n"
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_nan_tolerance(self, command, capsys):
@@ -234,6 +259,7 @@ class TestFlagSet:
     def test_names_and_defaults(self, argv, expected):
         parsed = vars(build_parser().parse_args(argv))
         parsed.pop("func")
+        parsed.pop("parser")
         assert parsed == {**expected, **self.SOLVER_DEFAULTS}
 
     def test_method_choices(self):

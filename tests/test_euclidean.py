@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stiefel_agd.euclidean import (
-    MomentumSchedule,
     QScheduleMode,
     StronglyConvexMode,
     euclidean_agd,
@@ -19,14 +18,8 @@ def quadratic(d, x_star):
 
 
 class TestMomentumSchedule:
-    def test_default_q_is_t(self):
-        s = MomentumSchedule()
-        assert s.alpha(0) == 0.0
-        assert s.alpha(4) == pytest.approx(4.0 / 7.0)
-        assert s.extrapolation_factor(3) == pytest.approx(1.0 + 3.0 / 6.0)
-
-    def test_default_admissible(self):
-        assert MomentumSchedule().is_admissible(1000)
+    """The schedule q_t = t that both iterations run satisfies the
+    admissibility condition the q-schedule theory needs."""
 
     def test_default_inequality_holds_to_1e6(self):
         # (q_{t+1} + 1)^2 <= (q_t + 2)^2 + 1 with q_t = t, in exact ints
@@ -35,12 +28,6 @@ class TestMomentumSchedule:
         rhs = (q[:-1] + 2) ** 2 + 1
         assert q[0] == 0
         assert np.all(lhs <= rhs)
-
-    def test_inadmissible_rule_detected(self):
-        s = MomentumSchedule(q=lambda t: 2.0 * t)
-        assert not s.is_admissible(10)
-        s = MomentumSchedule(q=lambda t: 1.0 + t)
-        assert not s.is_admissible(10)  # q_0 != 0
 
 
 class TestEuclideanAgd:

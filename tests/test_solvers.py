@@ -319,6 +319,29 @@ class TestMomentumFailures:
         assert not [base for base, target in calls if base is target]
 
 
+class TestMomentumFactor:
+    """Each kept pass of both accelerated solvers extrapolates by
+    1 + q_k / (2 + q_{k+1}) with q_k = k, that is 1 + k/(k+3), where k is
+    the momentum counter its record shows."""
+
+    @pytest.mark.parametrize("solver_name", ["agd-function", "agd-gradient"])
+    def test_factor_passed_to_lerp(self, monkeypatch, solver_name):
+        factors = []
+
+        def recording(base, target, alpha):
+            factors.append(alpha)
+            return geometry.lerp(base, target, alpha)
+
+        monkeypatch.setattr(solvers, "lerp", recording)
+        obj, _ = brockett_40_3()
+        trace = SOLVERS[solver_name](obj, random_point(40, 3, 5), SolverConfig())
+        assert trace.termination == CONVERGED
+        assert trace.restarts > 0
+        kept = [rec.momentum_k for rec in trace.records if not rec.restarted]
+        assert max(kept) > 10
+        assert factors == [1.0 + k / (k + 3.0) for k in kept]  # bit for bit
+
+
 class TestAcceleratedSolvers:
     @pytest.mark.parametrize("solver_name", ["agd-function", "agd-gradient"])
     def test_first_pass_never_restarts(self, solver_name):
