@@ -198,8 +198,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # checked before any work and without touching the file, so a failed
     # run never clobbers an earlier output
-    if args.out is not None and not args.out.parent.is_dir():
-        args.parser.error(f"cannot write {args.out}: no directory {args.out.parent}")
+    if args.out is not None:
+        if not args.out.parent.is_dir():
+            args.parser.error(
+                f"cannot write {args.out}: no directory {args.out.parent}")
+        if args.out.is_dir():
+            args.parser.error(f"cannot write {args.out}: it is a directory")
     started = time.perf_counter()
     try:
         rc = args.func(args)

@@ -207,6 +207,28 @@ class TestErrorBoundary:
         assert "rows.csv" not in err
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_is_a_directory(self, command, tmp_path, monkeypatch, capsys):
+        def unreachable(objective, x0, config):
+            pytest.fail("solved before checking --out")
+
+        monkeypatch.setitem(bench.SOLVERS, "gd", unreachable)
+        err = self.exit_2(COMMANDS[command] + ["--method", "gd",
+                                               "--out", str(tmp_path)], capsys)
+        assert f"cannot write {tmp_path}: it is a directory" in err
+
+    def test_fit_out_is_a_directory(self, tmp_path, capsys):
+        # rejected before the CSV is read, so its bad contents go unreported
+        csv = tmp_path / "rows.csv"
+        csv.write_text("not a scaling CSV\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["fit", str(csv), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stiefel-agd fit [-h]")
+        assert (f"stiefel-agd fit: error: cannot write {tmp_path}: "
+                "it is a directory") in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_failed_run_keeps_earlier_output(self, command, tmp_path, capsys):
         target = tmp_path / "out.txt"
         target.write_text("earlier output\n")

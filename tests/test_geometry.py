@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgetrf, dgetrs
 
+from stiefel_agd import geometry
+from stiefel_agd.errors import InverseRetractionFailedError
 from stiefel_agd.geometry import (
     DualTangentVector,
     StiefelPoint,
@@ -18,6 +20,7 @@ from stiefel_agd.geometry import (
     random_point,
     retract_inverse,
 )
+from stiefel_agd.linalg import solve_square
 
 
 def rand_dual(point, rng, norm=None):
@@ -352,6 +355,64 @@ class TestRetractInverse:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             retract_inverse(random_point(5, 2, 0), random_point(6, 2, 0))
+
+    @staticmethod
+    def pair(n, k, seed):
+        """X and a point one unit dual step along the Cayley curve from it
+        (X itself at n = 1, where the dual tangent space is {0})."""
+        x = random_point(n, k, seed)
+        if n == 1:
+            return x, x
+        w = rand_dual(x, np.random.default_rng([seed, 1]), norm=1.0)
+        return x, cayley_retract(x, w, 1.0)
+
+    def test_solves_against_a_k_by_k_right_hand_side(self, monkeypatch):
+        x, y = self.pair(1000, 10, 35)
+        shapes = []
+
+        def recording(a, b):
+            shapes.append(b.shape)
+            return solve_square(a, b)
+
+        monkeypatch.setattr(geometry, "solve_square", recording)
+        retract_inverse(x, y)
+        assert shapes == [(10, 10)]
+
+    @staticmethod
+    def n_rhs_inverse(x, y):
+        """The closed form solved as M^T Z = Y^T with Y's n rows as
+        right-hand sides, M = I + X^T Y."""
+        m = np.eye(x.k) + x.x.T @ y.x
+        return project_dual(x, 2.0 * solve_square(m.T, y.x.T).T).w
+
+    @pytest.mark.parametrize("n,k", [(1000, 10), (40, 5), (6, 6), (1, 1)])
+    def test_matches_the_n_right_hand_side_solve(self, n, k):
+        x, y = self.pair(n, k, 36)
+        v = retract_inverse(x, y).w
+        assert np.linalg.norm(v - self.n_rhs_inverse(x, y)) <= 1e-14 * np.linalg.norm(v)
+
+    def test_k1_is_bit_identical_to_the_n_right_hand_side_solve(self):
+        # 2 M^{-1} is 2 / m for k = 1: both paths scale Y by the same
+        # rounded reciprocal, and the factor 2 is exact
+        for seed in range(20):
+            x, y = self.pair(9, 1, seed)
+            assert np.array_equal(retract_inverse(x, y).w, self.n_rhs_inverse(x, y))
+
+    def test_antipodal_points_on_the_circle(self):
+        # I + X^T Y = 1 - 1 = 0
+        x = StiefelPoint(np.array([[1.0], [0.0]]))
+        y = StiefelPoint(np.array([[-1.0], [0.0]]))
+        with pytest.raises(InverseRetractionFailedError):
+            retract_inverse(x, y)
+
+    def test_one_column_negated(self):
+        # exactly orthonormal columns, so I + X^T Y = diag(2, 0) exactly
+        x = StiefelPoint(0.5 * np.array([[1.0, 1.0], [1.0, -1.0],
+                                         [1.0, 1.0], [1.0, -1.0]]))
+        y = StiefelPoint(x.x * [1.0, -1.0])
+        assert np.array_equal(np.eye(2) + x.x.T @ y.x, np.diag([2.0, 0.0]))
+        with pytest.raises(InverseRetractionFailedError):
+            retract_inverse(x, y)
 
 
 class TestLerp:

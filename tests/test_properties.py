@@ -19,6 +19,7 @@ from stiefel_agd.geometry import (
     random_point,
     retract_inverse,
 )
+from stiefel_agd.linalg import solve_square
 
 
 @st.composite
@@ -64,6 +65,21 @@ def test_inverse_undoes_the_retraction(pw, scale):
     x, w = pw
     v = retract_inverse(x, cayley_retract(x, w, scale))
     assert np.linalg.norm(v.w - scale * w.w) <= 1e-12
+
+
+@given(point_and_direction(), st.floats(-2.0, 2.0))
+def test_inverse_matches_the_n_right_hand_side_solve(pw, scale):
+    x, w = pw
+    y = cayley_retract(x, w, scale)
+    m = np.eye(x.k) + x.x.T @ y.x
+    raw = 2.0 * solve_square(m.T, y.x.T).T
+    ref = project_dual(x, raw).w
+    v = retract_inverse(x, y).w
+    # both round at the scale of the unprojected 2 Y M^{-1}, which the
+    # projection can shrink to nearly zero for a short step
+    assert np.linalg.norm(v - ref) <= 1e-14 * np.linalg.norm(raw)
+    if x.k == 1:
+        assert np.array_equal(v, ref)
 
 
 def step_to_distance(x, w, target: float) -> float:
