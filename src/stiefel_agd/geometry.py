@@ -21,6 +21,15 @@ a 2k x 2k system is ever solved:
 
     U = [W/2, X],  Z = [X, -W/2],  R = X + 2 U (I - Z^T U)^{-1} Z^T X.
 
+For a step scale * W and h = scale / 2, the system [I - Z^T U | Z^T X]
+is the quadratic pencil P0 + h P1 + h^2 P2 built from the k x k blocks
+X^T X, X^T W and W^T W. Each n-row Gram block is formed once and reused:
+X^T X by the point's check (``StiefelPoint.xtx``), X^T W by the vector's
+check (``DualTangentVector.xtw``, also read by the metric), and W^T W,
+[W, X] and the pencil by the first retraction along the vector. Every
+further line-search trial costs two scaled adds, one 2k x 2k solve and
+one n x 2k product.
+
 The geodesic retraction X(t) = expm(t B) X is reduced to the invariant
 subspace span([X, W]) (dimension <= 2k) before exponentiating. The Cayley
 map is the (1,1) rational approximant of that exponential, so the two
@@ -29,13 +38,16 @@ agree to second order in the step.
 The Cayley retraction is invertible in closed form: R(X, raise(V)) = Y is
 solved by V = 2 Y (I + X^T Y)^{-1} followed by projection onto the dual
 tangent space, which enables interpolation and extrapolation along the
-retraction curve through two points.
+retraction curve through two points. Where only the pairing of a dual
+vector with that inverse is needed, ``dual_metric_inverse`` computes it
+from k x k blocks without forming V.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -60,7 +72,8 @@ class StiefelPoint:
     ``orth_error`` records ||x^T x - I||_F as measured at construction; it
     is what solvers report as orthonormality drift. ``xtx`` is the
     read-only Gram matrix x^T x that the check forms, kept for the Cayley
-    retraction from this point.
+    pencil of every dual vector at this point and for
+    ``dual_metric_inverse`` with this point as the base.
     """
 
     x: np.ndarray
@@ -92,36 +105,82 @@ class StiefelPoint:
         return self.x.shape[1]
 
 
-def _check_base(a, b) -> None:
-    if a.base is not b.base and not np.array_equal(a.base.x, b.base.x):
+def _check_base(p: StiefelPoint, q: StiefelPoint) -> None:
+    """Raise unless ``p`` and ``q`` are one base point: the same object,
+    or equal arrays."""
+    if p is not q and not np.array_equal(p.x, q.x):
         raise ValueError("vectors live at different base points")
 
 
-def _tangent_array(a, base: StiefelPoint, space: str) -> np.ndarray:
-    """``a`` as a read-only copy in the (dual) tangent space at ``base``."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _tangent_array(a, base: StiefelPoint, space: str) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as a read-only copy in the (dual) tangent space at ``base``,
+    and the read-only x^T a that the check forms."""
     a = as_matrix(a, f"{space} vector")
     x = base.x
     if a.shape != x.shape:
         raise ValueError(f"shape {a.shape} does not match base {x.shape}")
-    skew = np.linalg.norm(a.T @ x + x.T @ a)
+    xta = x.T @ a
+    skew = np.linalg.norm(xta + xta.T)
     if skew > INVARIANT_TOL:
         raise ValueError(
             f"not in the {space} space: ||a^T x + x^T a||_F = {skew:.3e}"
         )
-    return a
+    return a, _read_only(xta)
 
 
 @dataclass(frozen=True, eq=False)
 class DualTangentVector:
-    """Dual tangent vector w at ``base``: w^T x + x^T w = 0."""
+    """Dual tangent vector w at ``base``: w^T x + x^T w = 0.
+
+    ``xtw`` is the read-only x^T w that the check forms, read by the
+    metric, the index maps and ``dual_metric_inverse``. ``wtw`` (w^T w),
+    ``wx`` ([w, x]) and ``pencil`` are formed, read-only, on first use by
+    ``cayley_retract``.
+    """
 
     w: np.ndarray
     base: StiefelPoint
+    xtw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "w", _tangent_array(self.w, self.base, "dual tangent")
-        )
+        w, xtw = _tangent_array(self.w, self.base, "dual tangent")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "xtw", xtw)
+
+    @cached_property
+    def wtw(self) -> np.ndarray:
+        return _read_only(self.w.T @ self.w)
+
+    @cached_property
+    def wx(self) -> np.ndarray:
+        return _read_only(np.concatenate((self.w, self.base.x), axis=1))
+
+    @cached_property
+    def pencil(self) -> np.ndarray:
+        """P0, P1, P2 stacked (3 x 2k x 3k): the Cayley system
+        [I - Z^T U | Z^T X] of the step scale * w is P0 + h P1 + h^2 P2
+        with h = scale / 2, that is
+
+            [[I - h B, -Q,      Q     ],
+             [h^2 G,   I + h B^T, -h B^T]]
+
+        with Q = x^T x, B = x^T w and G = w^T w."""
+        k = self.base.k
+        q, b = self.base.xtx, self.xtw
+        p = np.zeros((3, 2 * k, 3 * k))
+        p[0, :, : 2 * k] = np.eye(2 * k)
+        p[0, :k, k : 2 * k] = -q
+        p[0, :k, 2 * k :] = q
+        p[1, :k, :k] = -b
+        p[1, k:, k : 2 * k] = b.T
+        p[1, k:, 2 * k :] = -b.T
+        p[2, k:, :k] = self.wtw
+        return _read_only(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +191,8 @@ class TangentVector:
     base: StiefelPoint
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _tangent_array(self.v, self.base, "tangent"))
+        v, _ = _tangent_array(self.v, self.base, "tangent")
+        object.__setattr__(self, "v", v)
 
 
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
@@ -158,13 +218,13 @@ def project_dual(base: StiefelPoint, raw) -> DualTangentVector:
     x = base.x
     if w.shape != x.shape:
         raise ValueError(f"shape {w.shape} does not match base {x.shape}")
-    sym = w.T @ x + x.T @ w
-    return DualTangentVector(w - 0.5 * (x @ sym), base)
+    xtw = x.T @ w
+    return DualTangentVector(w - 0.5 * (x @ (xtw + xtw.T)), base)
 
 
 def metric(y1: TangentVector, y2: TangentVector) -> float:
     """Canonical metric on tangent vectors: Tr(y1^T (I - X X^T / 2) y2)."""
-    _check_base(y1, y2)
+    _check_base(y1.base, y2.base)
     x = y1.base.x
     return float(
         np.vdot(y1.v, y2.v) - 0.5 * np.vdot(x.T @ y1.v, x.T @ y2.v)
@@ -173,11 +233,8 @@ def metric(y1: TangentVector, y2: TangentVector) -> float:
 
 def dual_metric(w1: DualTangentVector, w2: DualTangentVector) -> float:
     """Induced inner product on dual vectors: Tr(w1^T (I + X X^T) w2)."""
-    _check_base(w1, w2)
-    x = w1.base.x
-    xtw1 = x.T @ w1.w
-    xtw2 = xtw1 if w2 is w1 else x.T @ w2.w
-    return float(np.vdot(w1.w, w2.w) + np.vdot(xtw1, xtw2))
+    _check_base(w1.base, w2.base)
+    return float(np.vdot(w1.w, w2.w) + np.vdot(w1.xtw, w2.xtw))
 
 
 def dual_norm(w: DualTangentVector) -> float:
@@ -187,8 +244,7 @@ def dual_norm(w: DualTangentVector) -> float:
 
 def raise_indices(w: DualTangentVector) -> TangentVector:
     """Index-raising isomorphism: W -> (I + X X^T) W."""
-    x = w.base.x
-    return TangentVector(w.w + x @ (x.T @ w.w), w.base)
+    return TangentVector(w.w + w.base.x @ w.xtw, w.base)
 
 
 def lower_indices(v: TangentVector) -> DualTangentVector:
@@ -203,33 +259,31 @@ def cayley_retract(base: StiefelPoint, w: DualTangentVector, scale: float) -> St
     scale = 0 returns the base point exactly. The underlying n x n Cayley
     matrix is nonsingular for every skew generator, so failures of the
     reduced solve only occur for pathologically large steps; they surface
-    as RetractionFailedError.
+    as RetractionFailedError. Raises ValueError when ``w`` lives at
+    another base point. The system is w's pencil at h = scale / 2, and
+    2 U S = [W, X] [scale S_top; 2 S_bottom].
     """
+    _check_base(base, w.base)
     if scale == 0.0:
         return base
-    x = base.x
-    ws = (0.5 * scale) * w.w
-    u = np.concatenate((ws, x), axis=1)
     k = base.k
-    xtws = x.T @ ws
-    xtx = base.xtx
-    # I - Z^T U assembled blockwise in place, Z = [X, -scale*W/2]:
-    # [[I - X^T Ws, -X^T X], [Ws^T Ws, I + Ws^T X]]. Negating and then
-    # adding the identity is exact: 0 - v = -v and 1 - v = -v + 1.
-    lhs = np.empty((2 * k, 2 * k))
-    np.negative(xtws, out=lhs[:k, :k])
-    np.negative(xtx, out=lhs[:k, k:])
-    lhs[k:, :k] = ws.T @ ws
-    lhs[k:, k:] = xtws.T
-    lhs.flat[:: 2 * k + 1] += 1.0
-    ztx = np.concatenate((xtx, -xtws.T))
+    h = 0.5 * scale
+    p0, p1, p2 = w.pencil
+    system = p2 * h
+    system += p1
+    system *= h
+    system += p0
     try:
-        s = solve_square(lhs, ztx)
+        s = solve_square(system[:, : 2 * k], system[:, 2 * k :])
     except SingularMatrixError as exc:
         raise RetractionFailedError(
             f"Cayley solve failed at step scale {scale!r}: {exc}"
         ) from exc
-    return StiefelPoint(x + 2.0 * (u @ s))
+    s[:k] *= scale
+    s[k:] *= 2.0
+    r = w.wx @ s
+    r += base.x
+    return StiefelPoint(r)
 
 
 def geodesic_retract(base: StiefelPoint, w: DualTangentVector, t: float) -> StiefelPoint:
@@ -245,7 +299,7 @@ def geodesic_retract(base: StiefelPoint, w: DualTangentVector, t: float) -> Stie
     wm = w.w
     # frame: X plus an orthonormal completion of W's component off X,
     # re-projected once for safety before factoring
-    w_perp = wm - x @ (x.T @ wm)
+    w_perp = wm - x @ w.xtw
     w_perp -= x @ (x.T @ w_perp)
     q2, r2 = np.linalg.qr(w_perp)
     diag = np.abs(np.diag(r2))
@@ -260,6 +314,23 @@ def geodesic_retract(base: StiefelPoint, w: DualTangentVector, t: float) -> Stie
     return StiefelPoint(x + q @ (e @ b))
 
 
+def _inverse_factor(base: StiefelPoint, target: StiefelPoint) -> tuple[np.ndarray, np.ndarray]:
+    """X^T Y and C = 2 (I + X^T Y)^{-1} for X = base, Y = target: one k x k
+    solve against the identity. Raises InverseRetractionFailedError when
+    I + X^T Y is singular to working precision."""
+    x, y = base.x, target.x
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    eye = np.eye(base.k)
+    xty = x.T @ y
+    try:
+        return xty, 2.0 * solve_square(eye + xty, eye)
+    except SingularMatrixError as exc:
+        raise InverseRetractionFailedError(
+            "I + X^T Y is singular; points are too far apart"
+        ) from exc
+
+
 def retract_inverse(base: StiefelPoint, target: StiefelPoint) -> DualTangentVector:
     """Solve R(X, raise(V)) = Y for the dual vector V at X.
 
@@ -272,18 +343,32 @@ def retract_inverse(base: StiefelPoint, target: StiefelPoint) -> DualTangentVect
     identity, then one n x k product. Solving M^T Z = Y^T against all n
     rows of Y costs LAPACK about 4x this whole path at n = 1000, k = 10.
     """
-    x, y = base.x, target.x
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    eye = np.eye(base.k)
-    m = eye + x.T @ y
-    try:
-        v = y @ (2.0 * solve_square(m, eye))
-    except SingularMatrixError as exc:
-        raise InverseRetractionFailedError(
-            "I + X^T Y is singular; points are too far apart"
-        ) from exc
-    return project_dual(base, v)
+    _, c = _inverse_factor(base, target)
+    return project_dual(base, target.x @ c)
+
+
+def dual_metric_inverse(w: DualTangentVector, target: StiefelPoint) -> float:
+    """<w, retract_inverse(X, target)>_{g*} at X = w.base, from k x k blocks.
+
+    With Y = target, C = 2 (I + X^T Y)^{-1}, P = X^T Y C and
+    A = -(P + P^T) / 2, the projected inverse is V = Y C + X A, so
+
+        <W, V>_{g*} = <Y^T W, C> + <X^T W, A> + <X^T W, P + X^T X A>.
+
+    Two n-row products (X^T Y and Y^T W) instead of forming, projecting and
+    checking V; X^T W and X^T X are the cached ``w.xtw`` and
+    ``w.base.xtx``. Raises InverseRetractionFailedError as
+    ``retract_inverse`` does.
+    """
+    xty, c = _inverse_factor(w.base, target)
+    p = xty @ c
+    a = -0.5 * (p + p.T)
+    xtw = w.xtw
+    return float(
+        np.vdot(target.x.T @ w.w, c)
+        + np.vdot(xtw, a)
+        + np.vdot(xtw, p + w.base.xtx @ a)
+    )
 
 
 def lerp(base: StiefelPoint, target: StiefelPoint, alpha: float) -> StiefelPoint:

@@ -21,7 +21,8 @@ The restart rule then decides whether the step is kept:
   * gradient restart (``agd_gradient_restart``):
     <grad f(Y_t), W_t>_{g*} < -gamma_t ||grad f(Y_t)||^2
     with W_t the dual vector at Y_t pointing back to X_t (momentum
-    opposing descent).
+    opposing descent); the pairing is formed from k x k blocks, without
+    W_t itself.
 
 Under the two restart rules a kept step X_{t+1} is followed by the
 momentum extrapolation along the Cayley curve through X_t and X_{t+1}:
@@ -59,10 +60,9 @@ from .geometry import (
     DualTangentVector,
     StiefelPoint,
     cayley_retract,
-    dual_metric,
+    dual_metric_inverse,
     dual_norm,
     lerp,
-    retract_inverse,
 )
 
 CONVERGED = "converged"
@@ -173,12 +173,17 @@ def line_search(
     the caller's evaluation at y. Returns (gamma, x_next, f_next, trials)
     with f_next <= f_y - (gamma/2) grad_norm_sq; each trial point costs
     one objective value. Raises LineSearchFailedError once
-    ``LINESEARCH_TRIALS`` trials are spent.
+    ``LINESEARCH_TRIALS`` trials are spent, and ValueError before any
+    trial for a zero, NaN or infinite ``grad_norm_sq`` or ``gamma_in`` or
+    a NaN or infinite ``f_y``.
     """
-    if grad_norm_sq <= 0.0:
-        raise ValueError("line search needs a nonzero gradient")
-    if gamma_in <= 0.0:
-        raise ValueError("gamma_in must be positive")
+    # each rule is a range that NaN and inf fall outside of
+    if not 0.0 < grad_norm_sq < math.inf:
+        raise ValueError("line search needs a nonzero finite gradient")
+    if not 0.0 < gamma_in < math.inf:
+        raise ValueError("gamma_in must be positive and finite")
+    if not -math.inf < f_y < math.inf:
+        raise ValueError("f_y must be finite")
 
     gamma = gamma_in
     budget = LINESEARCH_TRIALS
@@ -269,7 +274,7 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
         elif restart == "gradient" and y is not x:
             # at y = x the momentum is the zero vector and cannot oppose descent
             try:
-                restarted = dual_metric(grad_y, retract_inverse(y, x)) < -gamma * gn2
+                restarted = dual_metric_inverse(grad_y, x) < -gamma * gn2
             except _MOMENTUM_FAILURES:
                 restarted = True
 

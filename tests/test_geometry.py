@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -10,6 +11,7 @@ from stiefel_agd.geometry import (
     TangentVector,
     cayley_retract,
     dual_metric,
+    dual_metric_inverse,
     dual_norm,
     geodesic_retract,
     lerp,
@@ -37,9 +39,30 @@ def cayley_1d(w_scalar):
 
 
 def cayley_smw(base, w, scale):
-    """The Cayley retraction as the module docstring writes it, with
-    I - Z^T U formed by subtraction from a fresh X^T X, solved by LAPACK
-    dgetrf/dgetrs."""
+    """The Cayley retraction as the module docstring writes it, each block
+    of [I - Z^T U | Z^T X] scaled by h = scale / 2 after the Gram products
+    (h X^T W, (W^T W h) h), assembled blockwise and solved by LAPACK
+    dgetrf/dgetrs; the point is X + [W, X] [scale S_top; 2 S_bottom]."""
+    x, wm = base.x, w.w
+    k = base.k
+    h = 0.5 * scale
+    xtw = x.T @ wm
+    xtx = x.T @ x
+    eye = np.eye(k)
+    system = np.block([
+        [eye - h * xtw, -xtx, xtx],
+        [((wm.T @ wm) * h) * h, eye + h * xtw.T, -(h * xtw.T)],
+    ])
+    lu, piv, _ = dgetrf(system[:, : 2 * k])
+    s, _ = dgetrs(lu, piv, system[:, 2 * k :])
+    coeffs = np.concatenate((scale * s[:k], 2.0 * s[k:]))
+    return x + np.concatenate((wm, x), axis=1) @ coeffs
+
+
+def cayley_step_first(base, w, scale):
+    """The same formula with the step folded into W before any product
+    (Ws = scale W / 2, then X^T Ws and Ws^T Ws), the arithmetic used
+    before the Gram blocks were cached."""
     x = base.x
     k = base.k
     ws = (0.5 * scale) * w.w
@@ -227,14 +250,61 @@ class TestCayleyRetract:
         w = rand_dual(x, rng)
         assert cayley_retract(x, w, 0.0) is x
 
+    @staticmethod
+    def case(n, k):
+        x = random_point(n, k, n + k)
+        return x, rand_dual(x, np.random.default_rng(n * 10 + k))
+
     @pytest.mark.parametrize("n, k", [(12, 3), (9, 1), (5, 5), (1, 1)])
     @pytest.mark.parametrize("scale", [-0.3, 1.0, -7.5])
     def test_same_bits_as_the_smw_formula(self, n, k, scale):
-        rng = np.random.default_rng(n * 10 + k)
-        x = random_point(n, k, n + k)
-        w = rand_dual(x, rng)
+        x, w = self.case(n, k)
         assert np.array_equal(cayley_retract(x, w, scale).x,
                               cayley_smw(x, w, scale))
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (9, 1), (5, 5), (1, 1)])
+    @pytest.mark.parametrize("scale", [-0.3, 1.0, -7.5])
+    def test_agrees_with_the_step_first_formula(self, n, k, scale):
+        # scaling X^T W after the product rounds differently from scaling W
+        # before it; scale = 1 (h = 1/2) is exact in both
+        x, w = self.case(n, k)
+        ref = cayley_step_first(x, w, scale)
+        r = cayley_retract(x, w, scale).x
+        assert np.linalg.norm(r - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @staticmethod
+    def cayley_40_digits(x, w, scale):
+        """(I - B/2)^{-1} (I + B/2) X with B = scale (W X^T - X W^T), the
+        n x n definition, in 40-digit arithmetic from the float inputs."""
+        with mpmath.workdps(40):
+            xm = mpmath.matrix(x.x.tolist())
+            wm = mpmath.matrix(w.w.tolist())
+            half_b = (wm * xm.T - xm * wm.T) * (mpmath.mpf(scale) / 2)
+            eye = mpmath.eye(x.n)
+            r = mpmath.inverse(eye - half_b) * ((eye + half_b) * xm)
+            return np.array(r.tolist(), dtype=np.float64)
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (40, 5)])
+    @pytest.mark.parametrize("scale", [-0.3, 1.0, -7.5])
+    def test_error_at_most_twice_the_step_first_formula(self, n, k, scale):
+        x, w = self.case(n, k)
+        ref = self.cayley_40_digits(x, w, scale)
+        new = np.linalg.norm(cayley_retract(x, w, scale).x - ref)
+        old = np.linalg.norm(cayley_step_first(x, w, scale) - ref)
+        assert new <= 1e-15 * np.linalg.norm(ref)
+        assert new <= 2.0 * old
+
+    def test_vector_from_another_base_point_rejected(self):
+        x, other = random_point(20, 3, 1), random_point(20, 3, 2)
+        w = rand_dual(other, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="different base points"):
+            cayley_retract(x, w, -0.1)
+        with pytest.raises(ValueError, match="different base points"):
+            cayley_retract(x, w, 0.0)
+        # an equal point that is another object is the same base point
+        twin = StiefelPoint(other.x)
+        assert np.array_equal(cayley_retract(twin, w, -0.1).x,
+                              cayley_retract(other, w, -0.1).x)
 
     def test_closed_form_on_circle(self):
         x = StiefelPoint(np.array([[1.0], [0.0]]))
@@ -413,6 +483,52 @@ class TestRetractInverse:
         assert np.array_equal(np.eye(2) + x.x.T @ y.x, np.diag([2.0, 0.0]))
         with pytest.raises(InverseRetractionFailedError):
             retract_inverse(x, y)
+
+
+class TestDualMetricInverse:
+    """dual_metric_inverse(G, X) is <G, retract_inverse(Y, X)>_{g*} for G
+    at Y, without forming the inverse."""
+
+    @pytest.mark.parametrize("n,k", [(1000, 10), (40, 5), (6, 6)])
+    def test_matches_the_metric_of_the_inverse(self, n, k):
+        x, y = TestRetractInverse.pair(n, k, 37)
+        g = rand_dual(y, np.random.default_rng([n, k]))
+        v = retract_inverse(y, x)
+        expected = dual_metric(g, v)
+        got = dual_metric_inverse(g, x)
+        assert abs(got - expected) <= 1e-13 * np.linalg.norm(g.w) * np.linalg.norm(v.w)
+
+    def test_forms_no_dual_vector(self, monkeypatch):
+        x, y = TestRetractInverse.pair(40, 5, 38)
+        g = rand_dual(y, np.random.default_rng(39))
+
+        def forbidden(*args):
+            raise AssertionError("formed a dual vector")
+
+        monkeypatch.setattr(geometry.DualTangentVector, "__init__", forbidden)
+        monkeypatch.setattr(geometry, "project_dual", forbidden)
+        dual_metric_inverse(g, x)
+
+    def test_antipodal_points_on_the_circle(self):
+        y = StiefelPoint(np.array([[1.0], [0.0]]))
+        x = StiefelPoint(np.array([[-1.0], [0.0]]))
+        g = DualTangentVector(np.array([[0.0], [1.0]]), y)
+        with pytest.raises(InverseRetractionFailedError):
+            dual_metric_inverse(g, x)
+
+    def test_one_column_negated(self):
+        y = StiefelPoint(0.5 * np.array([[1.0, 1.0], [1.0, -1.0],
+                                         [1.0, 1.0], [1.0, -1.0]]))
+        x = StiefelPoint(y.x * [1.0, -1.0])
+        g = project_dual(y, np.random.default_rng(40).standard_normal((4, 2)))
+        with pytest.raises(InverseRetractionFailedError):
+            dual_metric_inverse(g, x)
+
+    def test_shape_mismatch(self):
+        y = random_point(5, 2, 0)
+        g = rand_dual(y, np.random.default_rng(41))
+        with pytest.raises(ValueError):
+            dual_metric_inverse(g, random_point(6, 2, 0))
 
 
 class TestLerp:

@@ -8,7 +8,7 @@ pushed until ||X - Y||_F^2 is just below 3.
 import math
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from stiefel_agd.geometry import (
@@ -28,7 +28,10 @@ def point_and_direction(draw):
     (the zero vector where the dual tangent space is {0}, as at n = k = 1)."""
     n = draw(st.integers(1, 12))
     k = draw(st.sampled_from(sorted({1, max(n - 1, 1), n})))
-    seed = draw(st.integers(0, 2**32 - 1))
+    return unit_direction(n, k, draw(st.integers(0, 2**32 - 1)))
+
+
+def unit_direction(n, k, seed):
     x = random_point(n, k, seed)
     raw = np.random.default_rng([seed, 1]).standard_normal((n, k))
     w = project_dual(x, raw)
@@ -38,6 +41,35 @@ def point_and_direction(draw):
 
 def sq_distance(x, y) -> float:
     return float(np.linalg.norm(x.x - y.x) ** 2)
+
+
+@given(point_and_direction())
+@example(unit_direction(1, 1, 0))
+@example(unit_direction(9, 1, 1))
+@example(unit_direction(6, 6, 2))
+def test_cached_blocks_are_exact_and_read_only(pw):
+    x, w = pw
+    k = x.k
+    xtw = x.x.T @ w.w
+    pencil = np.zeros((3, 2 * k, 3 * k))
+    pencil[0, :, : 2 * k] = np.eye(2 * k)
+    pencil[0, :k, k : 2 * k] = -x.xtx
+    pencil[0, :k, 2 * k :] = x.xtx
+    pencil[1, :k, :k] = -xtw
+    pencil[1, k:, k : 2 * k] = xtw.T
+    pencil[1, k:, 2 * k :] = -xtw.T
+    pencil[2, k:, :k] = w.w.T @ w.w
+    expected = {
+        "xtw": xtw,
+        "wtw": w.w.T @ w.w,
+        "wx": np.concatenate((w.w, x.x), axis=1),
+        "pencil": pencil,
+    }
+    for name, block in expected.items():
+        cached = getattr(w, name)
+        assert np.array_equal(cached, block), name
+        assert not cached.flags.writeable, name
+        assert getattr(w, name) is cached, name
 
 
 @given(point_and_direction(), st.floats(-10.0, 10.0))

@@ -15,6 +15,7 @@ from stiefel_agd.geometry import (
     dual_metric,
     project_dual,
     random_point,
+    retract_inverse,
 )
 from stiefel_agd.objectives import (
     DiagonalOperator,
@@ -79,6 +80,13 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
 
+class Untouched:
+    """An objective whose value must not be asked for."""
+
+    def value(self, x):
+        raise AssertionError("a trial was spent")
+
+
 class TestLineSearch:
     def setup_method(self):
         # objective f = x^T diag(0,1) x / 2 on the circle; minimum at (1,0)
@@ -134,6 +142,24 @@ class TestLineSearch:
         with pytest.raises(ValueError):
             line_search(self.obj, self.y, zero, 0.1, self.cfg, f_y=1.0,
                         grad_norm_sq=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_gamma_in_rejected_before_any_trial(self, bad):
+        with pytest.raises(ValueError, match="gamma_in"):
+            line_search(Untouched(), self.y, self.grad, bad, self.cfg,
+                        f_y=self.f_y, grad_norm_sq=self.gn2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_grad_norm_sq_rejected_before_any_trial(self, bad):
+        with pytest.raises(ValueError, match="gradient"):
+            line_search(Untouched(), self.y, self.grad, 0.1, self.cfg,
+                        f_y=self.f_y, grad_norm_sq=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bad_f_y_rejected_before_any_trial(self, bad):
+        with pytest.raises(ValueError, match="f_y"):
+            line_search(Untouched(), self.y, self.grad, 0.1, self.cfg,
+                        f_y=bad, grad_norm_sq=self.gn2)
 
     def test_exhaustion_raises(self):
         calls = []
@@ -200,7 +226,7 @@ class TestGradientDescent:
             raise Inverted
 
         monkeypatch.setattr(geometry, "retract_inverse", forbidden)
-        monkeypatch.setattr(solvers, "retract_inverse", forbidden)
+        monkeypatch.setattr(solvers, "dual_metric_inverse", forbidden)
         spectrum = SpectrumInfo(np.arange(1.0, 41.0))
         alpha = [1.0, 2.0, 3.0]
         obj = make_objective(spectrum, alpha)
@@ -244,26 +270,27 @@ def brockett_40_3():
     return make_objective(spectrum, alpha), known_minimum(spectrum, alpha)
 
 
-def fail_on_call(monkeypatch, module, n, error):
-    """Make ``module.retract_inverse`` raise ``error`` on its n-th call
-    only (never for n = 0); returns the list of (base, target) calls."""
-    original = module.retract_inverse
+def fail_on_call(monkeypatch, module, attr, n, error):
+    """Make ``module.<attr>`` raise ``error`` on its n-th call only (never
+    for n = 0); returns the list of its argument pairs."""
+    original = getattr(module, attr)
     calls = []
 
-    def flaky(base, target):
-        calls.append((base, target))
+    def flaky(first, target):
+        calls.append((first, target))
         if len(calls) == n:
             raise error("injected failure")
-        return original(base, target)
+        return original(first, target)
 
-    monkeypatch.setattr(module, "retract_inverse", flaky)
+    monkeypatch.setattr(module, attr, flaky)
     return calls
 
 
 class TestMomentumFailures:
     """A numerical failure in the momentum path resets the momentum and the
-    run goes on. ``solvers.retract_inverse`` is the gradient rule's call;
-    ``geometry.retract_inverse`` is the one inside the extrapolation."""
+    run goes on. ``solvers.dual_metric_inverse`` is the gradient rule's
+    call; ``geometry.retract_inverse`` is the one inside the
+    extrapolation."""
 
     @pytest.mark.parametrize(
         "error", [InverseRetractionFailedError, RetractionFailedError]
@@ -272,7 +299,7 @@ class TestMomentumFailures:
         obj, minimum = brockett_40_3()
         x0 = random_point(40, 3, 5)
         clean = agd_gradient_restart(obj, x0, SolverConfig())
-        calls = fail_on_call(monkeypatch, solvers, 4, error)
+        calls = fail_on_call(monkeypatch, solvers, "dual_metric_inverse", 4, error)
         trace = agd_gradient_restart(obj, x0, SolverConfig())
         assert len(calls) > 4
         assert trace.termination == CONVERGED
@@ -293,7 +320,7 @@ class TestMomentumFailures:
         obj, minimum = brockett_40_3()
         x0 = random_point(40, 3, 5)
         clean = SOLVERS[solver_name](obj, x0, SolverConfig())
-        calls = fail_on_call(monkeypatch, geometry, 6, error)
+        calls = fail_on_call(monkeypatch, geometry, "retract_inverse", 6, error)
         trace = SOLVERS[solver_name](obj, x0, SolverConfig())
         assert len(calls) > 6
         assert trace.termination == CONVERGED
@@ -311,12 +338,28 @@ class TestMomentumFailures:
     def test_gradient_rule_skips_the_current_iterate(self, monkeypatch):
         # at y = x (first pass, and after every restart) the rule would
         # invert a point onto itself and get the zero vector
-        calls = fail_on_call(monkeypatch, solvers, 0, AssertionError)
+        calls = fail_on_call(monkeypatch, solvers, "dual_metric_inverse", 0,
+                             AssertionError)
         obj, _ = brockett_40_3()
         trace = agd_gradient_restart(obj, random_point(40, 3, 5), SolverConfig())
         assert trace.termination == CONVERGED
         assert trace.restarts > 0 and calls
-        assert not [base for base, target in calls if base is target]
+        assert not [grad for grad, target in calls if grad.base is target]
+
+    def test_gradient_rule_decides_as_the_formed_inverse(self, monkeypatch):
+        # the k x k pairing and <grad, retract_inverse(y, x)> round
+        # differently, but no restart decision flips on this run
+        obj, _ = brockett_40_3()
+        x0 = random_point(40, 3, 5)
+        blocks = agd_gradient_restart(obj, x0, SolverConfig())
+        monkeypatch.setattr(
+            solvers, "dual_metric_inverse",
+            lambda grad, target: dual_metric(grad, retract_inverse(grad.base, target)),
+        )
+        formed = agd_gradient_restart(obj, x0, SolverConfig())
+        assert blocks.restarts > 0
+        assert blocks.records == formed.records
+        assert np.array_equal(blocks.final_point.x, formed.final_point.x)
 
 
 class TestMomentumFactor:
