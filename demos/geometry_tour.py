@@ -42,7 +42,7 @@ print("  dual norm, raised norm:", sa.dual_norm(w),
 print("\nstep size   ||cayley - geodesic||_F")
 for t in (0.5, 0.25, 0.125, 0.0625):
     diff = np.linalg.norm(
-        sa.cayley_retract(x, w, t).x - sa.geodesic_retract(x, w, t).x
+        sa.cayley_retract(w, t).x - sa.geodesic_retract(w, t).x
     )
     print(f"  {t:7.4f}   {diff:.3e}")
 
@@ -50,7 +50,7 @@ for t in (0.5, 0.25, 0.125, 0.0625):
 p = x
 for _ in range(2000):
     step = sa.project_dual(p, rng.standard_normal((n, k)))
-    p = sa.cayley_retract(p, step, 0.5 / sa.dual_norm(step))
+    p = sa.cayley_retract(step, 0.5 / sa.dual_norm(step))
 print("\ndrift after 2000 Cayley steps:",
       np.linalg.norm(p.x.T @ p.x - np.eye(k)))
 
@@ -61,10 +61,10 @@ print("\ndrift after 2000 Cayley steps:",
 # point (1 - a) X + a Y on the curve through X and Y is one retraction
 # away. a > 1 extrapolates, which is exactly the momentum step the
 # accelerated solvers use.
-y = sa.cayley_retract(x, w, 0.4)
+y = sa.cayley_retract(w, 0.4)
 v = sa.retract_inverse(x, y)
 print("\nroundtrip ||R(X, V) - Y||_F =",
-      np.linalg.norm(sa.cayley_retract(x, v, 1.0).x - y.x))
+      np.linalg.norm(sa.cayley_retract(v, 1.0).x - y.x))
 for a in (0.0, 0.5, 1.0, 1.5):
     p = sa.lerp(x, y, a)
     print(f"  lerp alpha={a:3.1f}: dist to X = "

@@ -2,8 +2,9 @@
 
 Matrices are 2-D float64 numpy arrays in row-major (C) order throughout the
 package. ``as_matrix`` and ``as_vector`` turn caller input into checked,
-read-only copies; ``solve_square`` and ``qr_thin`` delegate to
-numpy/scipy (LAPACK) behind this surface.
+read-only copies; ``read_only`` is the one place an array is frozen.
+``solve_square`` and ``qr_thin`` delegate to numpy/scipy (LAPACK) behind
+this surface.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must have positive dimensions, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
-    a.flags.writeable = False
-    return a
+    return read_only(a)
 
 
 def as_vector(data, name: str = "vector") -> np.ndarray:
@@ -40,8 +40,13 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
     v = np.array(data, dtype=np.float64, order="C").reshape(-1)
     if v.size < 1 or not np.isfinite(v).all():
         raise ValueError(f"{name} must be a non-empty finite vector")
-    v.flags.writeable = False
-    return v
+    return read_only(v)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only in place and return it."""
+    a.flags.writeable = False
+    return a
 
 
 def solve_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -160,14 +160,13 @@ class RunTrace:
 
 def line_search(
     objective,
-    y: StiefelPoint,
     grad_y: DualTangentVector,
     gamma_in: float,
     config: SolverConfig,
     f_y: float,
     grad_norm_sq: float,
 ) -> tuple[float, StiefelPoint, float, int]:
-    """Two-sided Armijo line search along -grad f(y).
+    """Two-sided Armijo line search along -grad f(y) from y = grad_y.base.
 
     ``f_y`` and ``grad_norm_sq`` are f(y) and ||grad f(y)||_{g*}^2 from
     the caller's evaluation at y. Returns (gamma, x_next, f_next, trials)
@@ -190,7 +189,7 @@ def line_search(
 
     def trial(g: float) -> tuple[StiefelPoint | None, float]:
         try:
-            x = cayley_retract(y, grad_y, -g)
+            x = cayley_retract(grad_y, -g)
         except RetractionFailedError:
             return None, float("inf")
         return x, objective.value(x)
@@ -260,7 +259,7 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
         gn2 = gn_y * gn_y
         try:
             gamma, x_next, f_next, trials = line_search(
-                objective, y, grad_y, gamma, config, f_y=f_y, grad_norm_sq=gn2
+                objective, grad_y, gamma, config, f_y=f_y, grad_norm_sq=gn2
             )
         except LineSearchFailedError:
             trace.f_evals += LINESEARCH_TRIALS

@@ -1,7 +1,7 @@
 """Smoke test: each demo runs to the end without raising.
 
 ``brockett_eigenvectors.py`` is left out: its dense solve does not finish
-in reasonable time (ROADMAP open item 3).
+in reasonable time (ROADMAP open item 4).
 """
 
 import runpy

@@ -248,7 +248,7 @@ class TestCayleyRetract:
         rng = np.random.default_rng(14)
         x = random_point(12, 3, 15)
         w = rand_dual(x, rng)
-        assert cayley_retract(x, w, 0.0) is x
+        assert cayley_retract(w, 0.0) is x
 
     @staticmethod
     def case(n, k):
@@ -259,7 +259,7 @@ class TestCayleyRetract:
     @pytest.mark.parametrize("scale", [-0.3, 1.0, -7.5])
     def test_same_bits_as_the_smw_formula(self, n, k, scale):
         x, w = self.case(n, k)
-        assert np.array_equal(cayley_retract(x, w, scale).x,
+        assert np.array_equal(cayley_retract(w, scale).x,
                               cayley_smw(x, w, scale))
 
     @pytest.mark.parametrize("n, k", [(12, 3), (9, 1), (5, 5), (1, 1)])
@@ -269,7 +269,7 @@ class TestCayleyRetract:
         # before it; scale = 1 (h = 1/2) is exact in both
         x, w = self.case(n, k)
         ref = cayley_step_first(x, w, scale)
-        r = cayley_retract(x, w, scale).x
+        r = cayley_retract(w, scale).x
         assert np.linalg.norm(r - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @staticmethod
@@ -289,38 +289,26 @@ class TestCayleyRetract:
     def test_error_at_most_twice_the_step_first_formula(self, n, k, scale):
         x, w = self.case(n, k)
         ref = self.cayley_40_digits(x, w, scale)
-        new = np.linalg.norm(cayley_retract(x, w, scale).x - ref)
+        new = np.linalg.norm(cayley_retract(w, scale).x - ref)
         old = np.linalg.norm(cayley_step_first(x, w, scale) - ref)
         assert new <= 1e-15 * np.linalg.norm(ref)
         assert new <= 2.0 * old
-
-    def test_vector_from_another_base_point_rejected(self):
-        x, other = random_point(20, 3, 1), random_point(20, 3, 2)
-        w = rand_dual(other, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="different base points"):
-            cayley_retract(x, w, -0.1)
-        with pytest.raises(ValueError, match="different base points"):
-            cayley_retract(x, w, 0.0)
-        # an equal point that is another object is the same base point
-        twin = StiefelPoint(other.x)
-        assert np.array_equal(cayley_retract(twin, w, -0.1).x,
-                              cayley_retract(other, w, -0.1).x)
 
     def test_closed_form_on_circle(self):
         x = StiefelPoint(np.array([[1.0], [0.0]]))
         for wval in (0.3, 1.0, 2.0, 5.0):
             w = DualTangentVector(np.array([[0.0], [wval]]), x)
-            r = cayley_retract(x, w, 1.0)
+            r = cayley_retract(w, 1.0)
             assert np.allclose(r.x, cayley_1d(wval), atol=1e-14)
         # w = 2 lands on (0, 1)
         w = DualTangentVector(np.array([[0.0], [2.0]]), x)
-        assert np.allclose(cayley_retract(x, w, 1.0).x, [[0.0], [1.0]], atol=1e-15)
+        assert np.allclose(cayley_retract(w, 1.0).x, [[0.0], [1.0]], atol=1e-15)
 
     def test_orthonormality_large(self):
         rng = np.random.default_rng(16)
         x = random_point(200, 10, 17)
         w = rand_dual(x, rng, norm=1.0)
-        r = cayley_retract(x, w, 0.3)
+        r = cayley_retract(w, 0.3)
         assert np.linalg.norm(r.x.T @ r.x - np.eye(10)) <= 1e-12
 
     def test_equivariance_under_right_rotation(self):
@@ -330,8 +318,8 @@ class TestCayleyRetract:
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         xq = StiefelPoint(x.x @ q)
         wq = DualTangentVector(w.w @ q, xq)
-        lhs = cayley_retract(xq, wq, 0.7).x
-        rhs = cayley_retract(x, w, 0.7).x @ q
+        lhs = cayley_retract(wq, 0.7).x
+        rhs = cayley_retract(w, 0.7).x @ q
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
     def test_drift_over_many_steps(self):
@@ -340,7 +328,7 @@ class TestCayleyRetract:
         x = random_point(30, 4, 21)
         for _ in range(10_000):
             w = rand_dual(x, rng, norm=1.0)
-            x = cayley_retract(x, w, float(rng.uniform(0.0, 1.0)))
+            x = cayley_retract(w, float(rng.uniform(0.0, 1.0)))
         assert np.linalg.norm(x.x.T @ x.x - np.eye(4)) <= 1e-10
 
 
@@ -349,25 +337,25 @@ class TestGeodesicRetract:
         rng = np.random.default_rng(24)
         x = random_point(18, 3, 25)
         w = rand_dual(x, rng)
-        assert np.allclose(geodesic_retract(x, w, 0.0).x, x.x, atol=1e-15)
+        assert np.allclose(geodesic_retract(w, 0.0).x, x.x, atol=1e-15)
 
     def test_circle_rotation(self):
         x = StiefelPoint(np.array([[1.0], [0.0]]))
         w = DualTangentVector(np.array([[0.0], [1.0]]), x)
         for t in (0.1, 0.7, 2.0):
-            g = geodesic_retract(x, w, t)
+            g = geodesic_retract(w, t)
             assert np.allclose(g.x, [[np.cos(t)], [np.sin(t)]], atol=1e-14)
 
     def test_zero_direction(self):
         x = random_point(9, 2, 26)
         z = DualTangentVector(np.zeros((9, 2)), x)
-        assert np.allclose(geodesic_retract(x, z, 1.0).x, x.x, atol=1e-15)
+        assert np.allclose(geodesic_retract(z, 1.0).x, x.x, atol=1e-15)
 
     def test_orthonormality(self):
         rng = np.random.default_rng(27)
         x = random_point(80, 6, 28)
         w = rand_dual(x, rng)
-        g = geodesic_retract(x, w, 0.5)
+        g = geodesic_retract(w, 0.5)
         assert np.linalg.norm(g.x.T @ g.x - np.eye(6)) <= 1e-12
 
     def test_second_order_agreement_with_cayley(self):
@@ -378,9 +366,9 @@ class TestGeodesicRetract:
             x = random_point(30, 4, seed)
             w = rand_dual(x, rng, norm=1.0)
             t = 1e-3
-            d1 = np.linalg.norm(geodesic_retract(x, w, t).x - cayley_retract(x, w, t).x)
+            d1 = np.linalg.norm(geodesic_retract(w, t).x - cayley_retract(w, t).x)
             d2 = np.linalg.norm(
-                geodesic_retract(x, w, t / 2).x - cayley_retract(x, w, t / 2).x
+                geodesic_retract(w, t / 2).x - cayley_retract(w, t / 2).x
             )
             c = d1 / t**2
             assert d2 <= 1.1 * c * (t / 2) ** 2
@@ -394,7 +382,7 @@ class TestFirstOrderProperty:
             x = random_point(25, 4, seed + 50)
             w = rand_dual(x, rng, norm=1.0)
             h = 1e-5
-            fd = (retraction(x, w, h).x - retraction(x, w, -h).x) / (2.0 * h)
+            fd = (retraction(w, h).x - retraction(w, -h).x) / (2.0 * h)
             v = raise_indices(w).v
             assert np.linalg.norm(fd - v) <= 1e-6 * np.linalg.norm(v)
 
@@ -403,7 +391,7 @@ class TestRetractInverse:
     def test_same_point_roundtrips_to_base(self):
         x = random_point(14, 3, 31)
         v = retract_inverse(x, x)
-        r = cayley_retract(x, v, 1.0)
+        r = cayley_retract(v, 1.0)
         assert np.linalg.norm(r.x - x.x) <= 1e-13
 
     def test_hand_case_on_circle(self):
@@ -417,9 +405,9 @@ class TestRetractInverse:
         for seed in range(20):
             x = random_point(40, 5, seed)
             w = rand_dual(x, rng, norm=1.0)
-            y = cayley_retract(x, w, 0.1)
+            y = cayley_retract(w, 0.1)
             v = retract_inverse(x, y)
-            back = cayley_retract(x, v, 1.0)
+            back = cayley_retract(v, 1.0)
             assert np.linalg.norm(back.x - y.x) <= 1e-12
 
     def test_shape_mismatch(self):
@@ -434,7 +422,7 @@ class TestRetractInverse:
         if n == 1:
             return x, x
         w = rand_dual(x, np.random.default_rng([seed, 1]), norm=1.0)
-        return x, cayley_retract(x, w, 1.0)
+        return x, cayley_retract(w, 1.0)
 
     def test_solves_against_a_k_by_k_right_hand_side(self, monkeypatch):
         x, y = self.pair(1000, 10, 35)
@@ -535,7 +523,7 @@ class TestLerp:
     def test_endpoints(self):
         rng = np.random.default_rng(33)
         x = random_point(22, 4, 34)
-        y = cayley_retract(x, rand_dual(x, rng, norm=1.0), 0.2)
+        y = cayley_retract(rand_dual(x, rng, norm=1.0), 0.2)
         assert lerp(x, y, 0.0) is x
         assert np.linalg.norm(lerp(x, y, 1.0).x - y.x) <= 1e-12
 
@@ -558,7 +546,7 @@ class TestConditioningBound:
             n, k = (20, 3) if checked % 2 == 0 else (50, 5)
             x = random_point(n, k, int(rng.integers(0, 2**31)))
             w = rand_dual(x, rng, norm=1.0)
-            y = cayley_retract(x, w, float(rng.uniform(0.05, 2.0)))
+            y = cayley_retract(w, float(rng.uniform(0.05, 2.0)))
             d2 = float(np.linalg.norm(x.x - y.x) ** 2)
             if d2 >= 3.0:
                 continue

@@ -31,8 +31,8 @@ from jacobi import jacobi_eigh
 
 def fd_directional(spec, x, d, h=1e-5):
     """Central finite difference of f along the retraction curve of d."""
-    fp = spec.value(cayley_retract(x, d, h))
-    fm = spec.value(cayley_retract(x, d, -h))
+    fp = spec.value(cayley_retract(d, h))
+    fm = spec.value(cayley_retract(d, -h))
     return (fp - fm) / (2.0 * h)
 
 

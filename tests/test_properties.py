@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from stiefel_agd.geometry import (
     cayley_retract,
     dual_norm,
+    geodesic_retract,
     lerp,
     project_dual,
     random_point,
@@ -61,7 +62,6 @@ def test_cached_blocks_are_exact_and_read_only(pw):
     pencil[2, k:, :k] = w.w.T @ w.w
     expected = {
         "xtw": xtw,
-        "wtw": w.w.T @ w.w,
         "wx": np.concatenate((w.w, x.x), axis=1),
         "pencil": pencil,
     }
@@ -75,19 +75,31 @@ def test_cached_blocks_are_exact_and_read_only(pw):
 @given(point_and_direction(), st.floats(-10.0, 10.0))
 def test_cayley_output_is_orthonormal(pw, scale):
     x, w = pw
-    assert cayley_retract(x, w, scale).orth_error <= 1e-12
+    assert cayley_retract(w, scale).orth_error <= 1e-12
 
 
 @given(point_and_direction())
 def test_zero_scale_returns_the_base_point(pw):
     x, w = pw
-    assert cayley_retract(x, w, 0.0) is x
+    assert cayley_retract(w, 0.0) is x
+
+
+@given(point_and_direction(), st.floats(-10.0, 10.0))
+def test_geodesic_output_is_orthonormal(pw, t):
+    _, w = pw
+    assert geodesic_retract(w, t).orth_error <= 1e-12
+
+
+@given(point_and_direction())
+def test_geodesic_at_zero_time_returns_the_base_array(pw):
+    x, w = pw
+    assert np.array_equal(geodesic_retract(w, 0.0).x, x.x)
 
 
 @given(point_and_direction(), st.floats(0.05, 2.0))
 def test_lerp_endpoints(pw, scale):
     x, w = pw
-    y = cayley_retract(x, w, scale)
+    y = cayley_retract(w, scale)
     assert lerp(x, y, 0.0) is x
     assert np.linalg.norm(lerp(x, y, 1.0).x - y.x) <= 1e-12
 
@@ -95,14 +107,14 @@ def test_lerp_endpoints(pw, scale):
 @given(point_and_direction(), st.floats(-2.0, 2.0))
 def test_inverse_undoes_the_retraction(pw, scale):
     x, w = pw
-    v = retract_inverse(x, cayley_retract(x, w, scale))
+    v = retract_inverse(x, cayley_retract(w, scale))
     assert np.linalg.norm(v.w - scale * w.w) <= 1e-12
 
 
 @given(point_and_direction(), st.floats(-2.0, 2.0))
 def test_inverse_matches_the_n_right_hand_side_solve(pw, scale):
     x, w = pw
-    y = cayley_retract(x, w, scale)
+    y = cayley_retract(w, scale)
     m = np.eye(x.k) + x.x.T @ y.x
     raw = 2.0 * solve_square(m.T, y.x.T).T
     ref = project_dual(x, raw).w
@@ -118,13 +130,13 @@ def step_to_distance(x, w, target: float) -> float:
     """Largest step found by bisection with ||X - R(X, s w)||_F^2 <= target;
     the distance grows monotonically along a Cayley ray."""
     hi = 1.0
-    while sq_distance(x, cayley_retract(x, w, hi)) <= target:
+    while sq_distance(x, cayley_retract(w, hi)) <= target:
         hi *= 2.0
         assume(hi <= 2.0**12)
     lo = 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if sq_distance(x, cayley_retract(x, w, mid)) <= target:
+        if sq_distance(x, cayley_retract(w, mid)) <= target:
             lo = mid
         else:
             hi = mid
@@ -135,12 +147,12 @@ def step_to_distance(x, w, target: float) -> float:
 def test_conditioning_bound_near_its_limit(pw, digits):
     x, w = pw
     assume(dual_norm(w) > 0.0)
-    y = cayley_retract(x, w, step_to_distance(x, w, 3.0 - 10.0**-digits))
+    y = cayley_retract(w, step_to_distance(x, w, 3.0 - 10.0**-digits))
     d2 = sq_distance(x, y)
     assert d2 < 3.0
     bound = 2.0 / math.sqrt(3.0 - d2)
     sv = np.linalg.svd(np.eye(x.k) + x.x.T @ y.x, compute_uv=False)
     assert sv[0] / sv[-1] <= bound * (1.0 + 1e-12)
     # the inverse retraction still recovers y there
-    back = cayley_retract(x, retract_inverse(x, y), 1.0)
+    back = cayley_retract(retract_inverse(x, y), 1.0)
     assert np.linalg.norm(back.x - y.x) <= 1e-12 * bound

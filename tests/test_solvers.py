@@ -101,7 +101,7 @@ class TestLineSearch:
 
     def test_tiny_gamma_grows(self):
         gamma, x_next, f_next, trials = line_search(
-            self.obj, self.y, self.grad, 1e-6, self.cfg,
+            self.obj, self.grad, 1e-6, self.cfg,
             f_y=self.f_y, grad_norm_sq=self.gn2,
         )
         assert gamma > 1e-6 * self.cfg.lambda_d * 0.999  # grew at least once
@@ -110,7 +110,7 @@ class TestLineSearch:
 
     def test_huge_gamma_shrinks(self):
         gamma, x_next, f_next, trials = line_search(
-            self.obj, self.y, self.grad, 1e6, self.cfg,
+            self.obj, self.grad, 1e6, self.cfg,
             f_y=self.f_y, grad_norm_sq=self.gn2,
         )
         assert gamma < 1e6
@@ -121,7 +121,7 @@ class TestLineSearch:
         # c_L thresholds; the search must return it after one trial
         found = None
         for gamma in np.geomspace(1e-3, 10.0, 400):
-            x = cayley_retract(self.y, self.grad, -gamma)
+            x = cayley_retract(self.grad, -gamma)
             f = self.obj.value(x)
             if (
                 f > self.f_y - self.cfg.c_l * gamma * self.gn2
@@ -131,7 +131,7 @@ class TestLineSearch:
                 break
         assert found is not None
         gamma, _, f_next, trials = line_search(
-            self.obj, self.y, self.grad, found, self.cfg,
+            self.obj, self.grad, found, self.cfg,
             f_y=self.f_y, grad_norm_sq=self.gn2,
         )
         assert gamma == found
@@ -140,25 +140,25 @@ class TestLineSearch:
     def test_zero_gradient_rejected(self):
         zero = project_dual(self.y, np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            line_search(self.obj, self.y, zero, 0.1, self.cfg, f_y=1.0,
+            line_search(self.obj, zero, 0.1, self.cfg, f_y=1.0,
                         grad_norm_sq=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_gamma_in_rejected_before_any_trial(self, bad):
         with pytest.raises(ValueError, match="gamma_in"):
-            line_search(Untouched(), self.y, self.grad, bad, self.cfg,
+            line_search(Untouched(), self.grad, bad, self.cfg,
                         f_y=self.f_y, grad_norm_sq=self.gn2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_bad_grad_norm_sq_rejected_before_any_trial(self, bad):
         with pytest.raises(ValueError, match="gradient"):
-            line_search(Untouched(), self.y, self.grad, 0.1, self.cfg,
+            line_search(Untouched(), self.grad, 0.1, self.cfg,
                         f_y=self.f_y, grad_norm_sq=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_bad_f_y_rejected_before_any_trial(self, bad):
         with pytest.raises(ValueError, match="f_y"):
-            line_search(Untouched(), self.y, self.grad, 0.1, self.cfg,
+            line_search(Untouched(), self.grad, 0.1, self.cfg,
                         f_y=bad, grad_norm_sq=self.gn2)
 
     def test_exhaustion_raises(self):
@@ -173,7 +173,7 @@ class TestLineSearch:
                 raise AssertionError("not used")
 
         with pytest.raises(LineSearchFailedError):
-            line_search(NanObjective(), self.y, self.grad, 0.1, self.cfg,
+            line_search(NanObjective(), self.grad, 0.1, self.cfg,
                         f_y=self.f_y, grad_norm_sq=self.gn2)
         assert len(calls) == LINESEARCH_TRIALS == 60
 
