@@ -27,7 +27,7 @@ x0 = rng.standard_normal(dim) * 2.0
 print(f"quadratic: dim={dim}, mu={mu}, L={L}, kappa={L / mu:.0f}\n")
 
 # strongly convex regime: f(x_t) - f* <= 2 (1 - sqrt(mu/L))^t (f(x0) - f*)
-traj = sa.euclidean_agd(f, g, x0, sa.StronglyConvexMode(mu, L), steps=120)
+traj = sa.euclidean_agd(g, x0, sa.StronglyConvexMode(mu, L), steps=120)
 rate = 1.0 - np.sqrt(mu / L)
 print("strongly convex regime (alpha constant, gamma = 1/L)")
 print(f"{'t':>5} {'f(x_t) - f*':>14} {'2 rate^t (f0-f*)':>18}")
@@ -36,7 +36,7 @@ for t in (0, 10, 20, 40, 80, 120):
 
 # q-schedule regime: f(x_t) - f* <= 2 L ||x0 - x*||^2 / t^2, with the
 # Lyapunov function J_t as the certificate
-traj = sa.euclidean_agd(f, g, x0, sa.QScheduleMode(gamma=1.0 / L), steps=120)
+traj = sa.euclidean_agd(g, x0, sa.QScheduleMode(gamma=1.0 / L), steps=120)
 r0 = float(np.sum((x0 - x_star) ** 2))
 js = [sa.lyapunov_value(f, traj.xs[t], traj.ys[t], 1.0 / L, float(t), x_star)
       for t in range(121)]

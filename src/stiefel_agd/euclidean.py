@@ -71,7 +71,6 @@ class EuclideanTrajectory:
 
 
 def euclidean_agd(
-    f: Callable[[np.ndarray], float],
     grad_f: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float] | np.ndarray,
     mode: QScheduleMode | StronglyConvexMode,

@@ -133,8 +133,8 @@ class RunTrace:
     the restarted ones. ``f_evals`` is the sum of the line-search trials
     of all passes, ``LINESEARCH_TRIALS`` for a search that failed; a trial
     whose Cayley solve failed counts although it evaluates nothing.
-    ``g_evals`` is iterations + restarts + 1: one value-and-gradient
-    evaluation at x0 and one at the look-ahead point of each pass.
+    ``g_evals`` counts ``value_and_gradient`` calls, one at the top of each
+    pass: at x0 first, then at each look-ahead point.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -171,10 +171,11 @@ def line_search(
     ``f_y`` and ``grad_norm_sq`` are f(y) and ||grad f(y)||_{g*}^2 from
     the caller's evaluation at y. Returns (gamma, x_next, f_next, trials)
     with f_next <= f_y - (gamma/2) grad_norm_sq; each trial point costs
-    one objective value. Raises LineSearchFailedError once
-    ``LINESEARCH_TRIALS`` trials are spent, and ValueError before any
-    trial for a zero, NaN or infinite ``grad_norm_sq`` or ``gamma_in`` or
-    a NaN or infinite ``f_y``.
+    one objective value. A trial whose Cayley solve fails counts, with
+    f = +inf. Raises LineSearchFailedError when a trial is asked for after
+    ``LINESEARCH_TRIALS`` trials, and ValueError before any trial for a
+    zero, NaN or infinite ``grad_norm_sq`` or ``gamma_in`` or a NaN or
+    infinite ``f_y``.
     """
     # each rule is a range that NaN and inf fall outside of
     if not 0.0 < grad_norm_sq < math.inf:
@@ -185,9 +186,15 @@ def line_search(
         raise ValueError("f_y must be finite")
 
     gamma = gamma_in
-    budget = LINESEARCH_TRIALS
+    trials = 0
 
     def trial(g: float) -> tuple[StiefelPoint | None, float]:
+        nonlocal trials
+        if trials >= LINESEARCH_TRIALS:
+            raise LineSearchFailedError(
+                f"no acceptable step in {LINESEARCH_TRIALS} trials"
+            )
+        trials += 1
         try:
             x = cayley_retract(grad_y, -g)
         except RetractionFailedError:
@@ -195,21 +202,14 @@ def line_search(
         return x, objective.value(x)
 
     x_next, f_next = trial(gamma)
-    trials = 1
     # grow while the decrease beats the stronger threshold
     while f_next < f_y - config.c_l * gamma * grad_norm_sq:
-        if trials >= budget:
-            raise LineSearchFailedError(f"no acceptable step in {budget} trials")
         gamma *= config.lambda_d
         x_next, f_next = trial(gamma)
-        trials += 1
     # shrink until the Armijo 1/2 threshold holds (NaN-safe comparison)
     while not (f_next <= f_y - 0.5 * gamma * grad_norm_sq):
-        if trials >= budget:
-            raise LineSearchFailedError(f"no acceptable step in {budget} trials")
         gamma /= config.lambda_d
         x_next, f_next = trial(gamma)
-        trials += 1
     assert x_next is not None
     return gamma, x_next, f_next, trials
 
@@ -235,21 +235,20 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
     """The pass loop of all three solvers. ``restart`` is None (gradient
     descent: no momentum, never a restart), "function" or "gradient"."""
     start = time.perf_counter()
-    trace = RunTrace()
-
-    res = objective.value_and_gradient(x0)
-    x, f_x = x0, res.value
-    y, f_y, grad_y = x0, res.value, res.grad
-    gn_y = dual_norm(grad_y)
-    g0 = gn_y
+    trace = RunTrace(max_orth_drift=x0.orth_error)
+    x = y = x0
     gamma = config.gamma0
     k = 0
-    trace.initial_value = f_x
-    trace.initial_grad_norm = g0
-    trace.max_orth_drift = x0.orth_error
 
     while True:
-        if gn_y <= config.epsilon * g0:
+        res = objective.value_and_gradient(y)
+        trace.g_evals += 1
+        f_y, grad_y = res.value, res.grad
+        gn_y = dual_norm(grad_y)
+        if trace.g_evals == 1:
+            f_x = trace.initial_value = f_y
+            trace.initial_grad_norm = gn_y
+        if gn_y <= config.epsilon * trace.initial_grad_norm:
             trace.termination = CONVERGED
             break
         t = trace.iterations + trace.restarts
@@ -299,13 +298,9 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
         trace.records.append(
             IterationRecord(t, f_x, gn_y, gamma, restarted, applied_k)
         )
-        res = objective.value_and_gradient(y)
-        f_y, grad_y = res.value, res.grad
-        gn_y = dual_norm(grad_y)
 
     trace.final_point = x
     trace.final_value = f_x
     trace.final_grad_norm = gn_y
-    trace.g_evals = trace.iterations + trace.restarts + 1
     trace.wall_time = time.perf_counter() - start
     return trace

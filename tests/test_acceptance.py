@@ -223,14 +223,14 @@ def test_criterion_4_euclidean_theory_suite():
         x0 = rng.standard_normal(dim) * 2.0
 
         # strongly convex regime: geometric bound at every step
-        traj = sa.euclidean_agd(f, g, x0, sa.StronglyConvexMode(mu, big_l), 200)
+        traj = sa.euclidean_agd(g, x0, sa.StronglyConvexMode(mu, big_l), 200)
         f0 = f(x0)
         rate = 1.0 - math.sqrt(mu / big_l)
         for t in range(201):
             assert f(traj.xs[t]) <= 2.0 * rate**t * f0 * (1.0 + 1e-12)
 
         # q-schedule regime: t^-2 bound and Lyapunov monotonicity
-        traj = sa.euclidean_agd(f, g, x0, sa.QScheduleMode(gamma=1.0 / big_l), 200)
+        traj = sa.euclidean_agd(g, x0, sa.QScheduleMode(gamma=1.0 / big_l), 200)
         r0 = float(np.sum((x0 - x_star) ** 2))
         for t in range(1, 201):
             assert f(traj.xs[t]) <= 2.0 * big_l * r0 / t**2 * (1.0 + 1e-12)

@@ -134,6 +134,8 @@ class TestExperimentSpecValidation:
         ):
             with pytest.raises(ValueError):
                 ExperimentSpec(**bad)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ExperimentSpec(**dict(good, problem="brockett", k=0))
 
     def test_build_problem_kappa(self):
         spec = ExperimentSpec(problem="brockett", spectrum="linear",
@@ -290,3 +292,6 @@ class TestCsvRoundTrip:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             rows_from_csv("not,a,header\n")
+        missing_cell = rows_to_csv([make_row()]).rstrip("\n").rsplit(",", 1)[0]
+        with pytest.raises(ValueError, match="malformed CSV row"):
+            rows_from_csv(missing_cell)

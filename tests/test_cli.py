@@ -105,9 +105,25 @@ class TestScalingCommand:
         assert payload["rows"] == 2
 
     def test_bad_n_values_exit_2(self, capsys):
+        for sizes in ("10,abc", "0,10"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["scaling", "--n-values", sizes] + FAST)
+            assert exc.value.code == 2
+
+    def test_bad_weights_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["scaling", "--n-values", "10,abc"] + FAST)
+            run_cli(["scaling", "--problem", "brockett", "--k", "2",
+                     "--weights", "1,x", "--n-values", "10"] + FAST)
         assert exc.value.code == 2
+        assert "comma-separated list" in capsys.readouterr().err
+
+    def test_explicit_weights_reach_the_config(self, capsys):
+        rc = run_cli(["scaling", "--problem", "brockett", "--k", "3",
+                      "--weights", "1,2,3", "--n-values", "10", "--trials", "1",
+                      "--method", "gd", "--format", "json"] + FAST)
+        assert rc == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["k"] == 3 and config["weights"] == [1.0, 2.0, 3.0]
 
 
 class TestFitCommand:

@@ -32,8 +32,8 @@ class TestMomentumSchedule:
 
 class TestEuclideanAgd:
     def test_unit_quadratic_one_step(self):
-        f, g = quadratic([1.0], [0.0])
-        traj = euclidean_agd(f, g, [1.0], QScheduleMode(gamma=1.0), steps=3)
+        _, g = quadratic([1.0], [0.0])
+        traj = euclidean_agd(g, [1.0], QScheduleMode(gamma=1.0), steps=3)
         assert traj.xs[1, 0] == 0.0  # exact minimizer after one step
 
     def test_strongly_convex_theorem_bound(self):
@@ -46,7 +46,7 @@ class TestEuclideanAgd:
             d[0], d[-1] = mu, L
             f, g = quadratic(d, np.zeros(dim))
             x0 = rng.standard_normal(dim)
-            traj = euclidean_agd(f, g, x0, StronglyConvexMode(mu, L), steps=150)
+            traj = euclidean_agd(g, x0, StronglyConvexMode(mu, L), steps=150)
             rate = 1.0 - np.sqrt(mu / L)
             f0 = f(x0)
             for t in range(151):
@@ -61,7 +61,7 @@ class TestEuclideanAgd:
             x_star = rng.standard_normal(dim)
             f, g = quadratic(d, x_star)
             x0 = rng.standard_normal(dim)
-            traj = euclidean_agd(f, g, x0, QScheduleMode(gamma=1.0 / L), steps=150)
+            traj = euclidean_agd(g, x0, QScheduleMode(gamma=1.0 / L), steps=150)
             r0 = float(np.sum((x0 - x_star) ** 2))
             for t in range(1, 151):
                 assert f(traj.xs[t]) <= 2.0 * L * r0 / t**2 * (1.0 + 1e-12)
@@ -74,11 +74,11 @@ class TestEuclideanAgd:
         for gamma in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 QScheduleMode(gamma=gamma)
-        f, g = quadratic([1.0], [0.0])
+        _, g = quadratic([1.0], [0.0])
         with pytest.raises(ValueError):
-            euclidean_agd(f, g, [1.0], QScheduleMode(gamma=1.0), steps=-1)
+            euclidean_agd(g, [1.0], QScheduleMode(gamma=1.0), steps=-1)
         with pytest.raises(ValueError):
-            euclidean_agd(f, g, [1.0], "nonsense", steps=1)
+            euclidean_agd(g, [1.0], "nonsense", steps=1)
 
 
 class TestLyapunov:
@@ -102,7 +102,7 @@ class TestLyapunov:
             x_star = rng.standard_normal(dim)
             f, g = quadratic(d, x_star)
             x0 = rng.standard_normal(dim) * 2.0
-            traj = euclidean_agd(f, g, x0, QScheduleMode(gamma=1.0 / L), steps=200)
+            traj = euclidean_agd(g, x0, QScheduleMode(gamma=1.0 / L), steps=200)
             js = [
                 lyapunov_value(f, traj.xs[t], traj.ys[t], 1.0 / L, float(t), x_star)
                 for t in range(201)

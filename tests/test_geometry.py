@@ -4,7 +4,11 @@ import pytest
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from stiefel_agd import geometry
-from stiefel_agd.errors import InverseRetractionFailedError
+from stiefel_agd.errors import (
+    InverseRetractionFailedError,
+    RetractionFailedError,
+    SingularMatrixError,
+)
 from stiefel_agd.geometry import (
     DualTangentVector,
     StiefelPoint,
@@ -23,6 +27,7 @@ from stiefel_agd.geometry import (
     retract_inverse,
 )
 from stiefel_agd.linalg import solve_square
+from stiefel_agd.objectives import make_objective, parse_spectrum
 
 
 def rand_dual(point, rng, norm=None):
@@ -93,6 +98,11 @@ class TestTypes:
         x = StiefelPoint(np.array([[1.0], [0.0]]))
         with pytest.raises(ValueError):
             DualTangentVector(np.array([[1.0], [0.0]]), x)
+
+    @pytest.mark.parametrize("cls", [DualTangentVector, TangentVector])
+    def test_vector_shape_must_match_base(self, cls):
+        with pytest.raises(ValueError, match="does not match base"):
+            cls(np.zeros((5, 3)), random_point(5, 2, 0))
 
     def test_arrays_frozen(self):
         p = random_point(5, 2, 0)
@@ -293,6 +303,16 @@ class TestCayleyRetract:
         old = np.linalg.norm(cayley_step_first(x, w, scale) - ref)
         assert new <= 1e-15 * np.linalg.norm(ref)
         assert new <= 2.0 * old
+
+    def test_singular_solve_raises_retraction_failed(self):
+        # the Brockett gradient (norm 28.1) at random_point(30, 3, 0) on
+        # linear:30, weights 1..3: the 2k x 2k system is singular to
+        # working precision from a scale of about 2.6e6 on
+        obj = make_objective(parse_spectrum("linear:30"), [1.0, 2.0, 3.0])
+        grad = obj.value_and_gradient(random_point(30, 3, 0)).grad
+        with pytest.raises(RetractionFailedError) as info:
+            cayley_retract(grad, 1e8)
+        assert isinstance(info.value.__cause__, SingularMatrixError)
 
     def test_closed_form_on_circle(self):
         x = StiefelPoint(np.array([[1.0], [0.0]]))

@@ -174,6 +174,8 @@ class TestAsMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             as_matrix(np.ones(3))
+        with pytest.raises(ValueError, match="positive dimensions"):
+            as_matrix(np.zeros((0, 3)))
 
     def test_returns_a_read_only_copy(self):
         a = np.eye(2)

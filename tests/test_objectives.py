@@ -113,10 +113,14 @@ class TestEvaluate:
             ObjectiveSpec(DiagonalOperator([1.0, 2.0]), [2.0, 1.0])
         with pytest.raises(ValueError):
             ObjectiveSpec(DiagonalOperator([1.0, 2.0]), [-1.0])
+        with pytest.raises(ValueError, match="more weights"):
+            ObjectiveSpec(DiagonalOperator([1.0, 2.0]), [1.0, 2.0, 3.0])
 
     def test_dense_operator_must_be_symmetric(self):
         with pytest.raises(NotSymmetricError):
             DenseOperator(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="square"):
+            DenseOperator(np.ones((2, 3)))
 
 
 class TestCallerArrays:
@@ -193,8 +197,10 @@ class TestConditionNumbers:
 
 
 @pytest.mark.parametrize("function", [brockett_condition_number, known_minimum])
-@pytest.mark.parametrize("weights", [[], [1.0, np.nan], [2.0, 1.0]],
-                         ids=["empty", "nan", "decreasing"])
+@pytest.mark.parametrize(
+    "weights", [[], [1.0, np.nan], [2.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]],
+    ids=["empty", "nan", "decreasing", "more-than-eigenvalues"],
+)
 def test_bad_weights_rejected(function, weights):
     with pytest.raises(ValueError):
         function(SpectrumInfo([1.0, 2.0, 3.0, 4.0, 5.0]), weights)
@@ -242,6 +248,10 @@ class TestOptimalWeights:
     def test_degenerate_gap(self):
         with pytest.raises(DegenerateSpectrumError):
             optimal_weights(SpectrumInfo([1.0, 1.0, 2.0]), 2)
+
+    def test_k_must_be_below_n(self):
+        with pytest.raises(ValueError, match="k <= n - 1"):
+            optimal_weights(SpectrumInfo([1.0, 2.0, 3.0]), 3)
 
 
 class TestKnownMinimum:

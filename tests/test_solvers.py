@@ -23,6 +23,7 @@ from stiefel_agd.objectives import (
     SpectrumInfo,
     known_minimum,
     make_objective,
+    parse_spectrum,
 )
 from stiefel_agd.solvers import (
     CONVERGED,
@@ -85,6 +86,26 @@ class Untouched:
 
     def value(self, x):
         raise AssertionError("a trial was spent")
+
+
+class UnboundedBelow:
+    """An objective whose every value is -inf: each trial beats both
+    thresholds, so the search grows gamma until something stops it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def value(self, x):
+        self.calls += 1
+        return -math.inf
+
+
+def brockett_30_3_gradient():
+    """The gradient at random_point(30, 3, 0) of Brockett ``linear:30``
+    with weights 1..3 (dual norm 28.1), f there and the squared norm."""
+    obj = make_objective(parse_spectrum("linear:30"), [1.0, 2.0, 3.0])
+    res = obj.value_and_gradient(random_point(30, 3, 0))
+    return res.grad, res.value, dual_metric(res.grad, res.grad)
 
 
 class TestLineSearch:
@@ -176,6 +197,30 @@ class TestLineSearch:
             line_search(NanObjective(), self.grad, 0.1, self.cfg,
                         f_y=self.f_y, grad_norm_sq=self.gn2)
         assert len(calls) == LINESEARCH_TRIALS == 60
+
+    def test_singular_trial_counts_and_shrinks(self):
+        # gamma grows by 1.7 from 0.1 until the 34th trial, at scale
+        # -4.0e6, where the Cayley solve is singular (from about 2.6e6 on);
+        # that trial counts with f = +inf and values nothing, and the
+        # first shrunk step is accepted
+        grad, f_y, gn2 = brockett_30_3_gradient()
+        obj = UnboundedBelow()
+        gamma, _, f_next, trials = line_search(
+            obj, grad, 0.1, self.cfg, f_y=f_y, grad_norm_sq=gn2
+        )
+        assert trials == 35 and obj.calls == 34
+        assert gamma == pytest.approx(0.1 * 1.7**32)  # about 2.37e6
+        assert f_next == -math.inf
+
+    def test_exhaustion_in_the_grow_loop_raises(self, monkeypatch):
+        # a retraction that never fails keeps the search growing gamma
+        # until the budget runs out
+        grad, f_y, gn2 = brockett_30_3_gradient()
+        monkeypatch.setattr(solvers, "cayley_retract", lambda w, scale: w.base)
+        obj = UnboundedBelow()
+        with pytest.raises(LineSearchFailedError, match="in 60 trials"):
+            line_search(obj, grad, 0.1, self.cfg, f_y=f_y, grad_norm_sq=gn2)
+        assert obj.calls == LINESEARCH_TRIALS == 60
 
 
 class TestGradientDescent:
