@@ -28,7 +28,9 @@ X^T X by the point's check (``StiefelPoint.xtx``), X^T W by the vector's
 check (``DualTangentVector.xtw``, also read by the metric), and W^T W,
 [W, X] and the pencil by the first retraction along the vector. Every
 further line-search trial costs two scaled adds, one 2k x 2k solve and
-one n x 2k product.
+one n x 2k product. The point it returns wraps that product without a
+copy; its X^T X and orthonormality check are formed only if the point is
+read as an iterate, so a rejected trial pays for neither.
 
 The geodesic retraction X(t) = expm(t B) X is reduced to the invariant
 subspace span([X, W]) (dimension <= 2k) before exponentiating. The Cayley
@@ -72,31 +74,46 @@ INVARIANT_TOL = 1e-8
 class StiefelPoint:
     """A point on the Stiefel manifold: n x k matrix, orthonormal columns.
 
-    ``orth_error`` records ||x^T x - I||_F as measured at construction; it
-    is what solvers report as orthonormality drift. ``xtx`` is the
-    read-only Gram matrix x^T x that the check forms, kept for the Cayley
-    pencil of every dual vector at this point and for
-    ``dual_metric_inverse`` with this point as the base.
+    ``orth_error`` (||x^T x - I||_F, the drift solvers report) and ``xtx``
+    (the read-only x^T x, read by the Cayley pencil of every dual vector at
+    this point and by ``dual_metric_inverse``) are formed on first read and
+    cached. Reading ``orth_error`` is the orthonormality check: it raises
+    ValueError above ``INVARIANT_TOL`` or for NaN. The constructor copies
+    and checks its input at once; a point a retraction returns wraps its
+    fresh array and is checked when the solvers keep it as an iterate or
+    look-ahead point, so a rejected line-search trial is never checked.
     """
 
     x: np.ndarray
-    orth_error: float = field(init=False)
-    xtx: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = as_matrix(self.x, "stiefel point")
         n, k = x.shape
         if k > n:
             raise ValueError(f"need k <= n, got shape {x.shape}")
-        xtx = x.T @ x
-        err = float(np.linalg.norm(xtx - np.eye(k)))
-        if err > INVARIANT_TOL:
+        object.__setattr__(self, "x", x)
+        self.orth_error  # the check: raises ValueError
+
+    @classmethod
+    def _unchecked(cls, x: np.ndarray) -> StiefelPoint:
+        """Wrap ``x``, a fresh C-ordered n x k array no one else holds, as
+        a read-only point without copying or checking it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "x", read_only(x))
+        return p
+
+    @cached_property
+    def xtx(self) -> np.ndarray:
+        return read_only(self.x.T @ self.x)
+
+    @cached_property
+    def orth_error(self) -> float:
+        err = float(np.linalg.norm(self.xtx - np.eye(self.k)))
+        if not err <= INVARIANT_TOL:
             raise ValueError(
                 f"columns are not orthonormal: ||x^T x - I||_F = {err:.3e}"
             )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "orth_error", err)
-        object.__setattr__(self, "xtx", read_only(xtx))
+        return err
 
     @property
     def n(self) -> int:
@@ -276,7 +293,7 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     s[k:] *= 2.0
     r = w.wx @ s
     r += base.x
-    return StiefelPoint(r)
+    return StiefelPoint._unchecked(r)
 
 
 def geodesic_retract(w: DualTangentVector, t: float) -> StiefelPoint:
@@ -304,7 +321,7 @@ def geodesic_retract(w: DualTangentVector, t: float) -> StiefelPoint:
     bt = bt - bt.T
     e = scipy.linalg.expm(t * bt)
     np.fill_diagonal(e, np.diag(e) - 1.0)
-    return StiefelPoint(x + q @ (e @ b))
+    return StiefelPoint._unchecked(x + q @ (e @ b))
 
 
 def _inverse_factor(base: StiefelPoint, target: StiefelPoint) -> tuple[np.ndarray, np.ndarray]:

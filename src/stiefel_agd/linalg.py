@@ -9,6 +9,8 @@ this surface.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
@@ -67,9 +69,11 @@ def solve_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lu, _, x, info = dgesv(a, b)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to dgesv")
-    # fails for a NaN pivot, and for a zero one (info > 0: x not solved)
-    pivots = np.abs(lu.diagonal())
-    if not pivots.min() > m * _EPS * max(pivots.max(), 1e-300):
+    # fails for a NaN pivot, and for a zero one (info > 0: x not solved);
+    # in Python floats (numpy calls cost more than dgesv at m = 2), where
+    # sorted() misplaces a NaN but the sum of |pivot|s is NaN if one is
+    pivots = sorted(map(abs, lu.diagonal().tolist()))
+    if math.isnan(sum(pivots)) or not pivots[0] > m * _EPS * max(pivots[-1], 1e-300):
         raise SingularMatrixError(
             f"{m}x{m} system is singular to working precision"
         )

@@ -115,6 +115,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             p.xtx[0, 0] = 7.0
 
+    @pytest.mark.parametrize("x", [2.0 * np.eye(3)[:, :2], np.full((3, 2), np.nan)],
+                             ids=["scaled", "nan"])
+    def test_unchecked_point_raises_on_first_read_of_orth_error(self, x):
+        p = StiefelPoint._unchecked(x)
+        assert not p.x.flags.writeable
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(ValueError, match="columns are not orthonormal"):
+                p.orth_error
+
     def test_caller_arrays_are_copied(self):
         x = np.array([[1.0], [0.0]])
         w = np.array([[0.0], [2.0]])
@@ -303,6 +312,16 @@ class TestCayleyRetract:
         old = np.linalg.norm(cayley_step_first(x, w, scale) - ref)
         assert new <= 1e-15 * np.linalg.norm(ref)
         assert new <= 2.0 * old
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (9, 1), (5, 5), (1, 1)])
+    @pytest.mark.parametrize("retract", [cayley_retract, geodesic_retract])
+    def test_output_gram_and_check_match_a_checked_copy(self, n, k, retract):
+        x, w = self.case(n, k)
+        r = retract(w, -0.3)
+        assert not r.x.flags.writeable
+        assert np.array_equal(r.xtx, r.x.T @ r.x)
+        assert not r.xtx.flags.writeable
+        assert r.orth_error == StiefelPoint(r.x.copy()).orth_error
 
     def test_singular_solve_raises_retraction_failed(self):
         # the Brockett gradient (norm 28.1) at random_point(30, 3, 0) on

@@ -52,10 +52,15 @@ class TestSolveSquare:
         # pivot 2 eps is the threshold m eps max|pivot|; the test is strict
         np.diag([1.0, 2.0 * np.finfo(float).eps]),
         np.diag([1.0, np.nextafter(2.0 * np.finfo(float).eps, 0.0)]),
-    ], ids=["nan", "at-threshold", "under-threshold"])
+        # LU pivots 1, 2, NaN, 4, 5: Python's min, max and sorted() pass
+        # over a NaN between finite values
+        np.diag([1.0, 2.0, np.nan, 4.0, 5.0]),
+        # pivots inf, 1
+        np.array([[np.inf, 1.0], [1.0, 1.0]]),
+    ], ids=["nan", "at-threshold", "under-threshold", "nan-mid-5x5", "inf"])
     def test_negligible_or_nan_pivot_raises(self, a):
         with pytest.raises(SingularMatrixError):
-            solve_square(a, np.eye(2))
+            solve_square(a, np.eye(len(a)))
 
     def test_pivot_over_threshold_solves(self):
         p = np.nextafter(2.0 * np.finfo(float).eps, 1.0)

@@ -212,6 +212,32 @@ class TestLineSearch:
         assert gamma == pytest.approx(0.1 * 1.7**32)  # about 2.37e6
         assert f_next == -math.inf
 
+    @pytest.mark.parametrize("gamma_in", [1e-6, 1e6], ids=["grow", "shrink"])
+    def test_a_rejected_trial_point_is_not_checked(self, monkeypatch, gamma_in):
+        # the recorded behaviour change (CHANGES.md): a point is checked
+        # when it is kept, so a first trial off the manifold (0.99 times
+        # the true point), which the search grows past from 1e-6 or shrinks
+        # past from 1e6, does not raise; it would when read as an iterate
+        first = []
+
+        def retract(w, scale):
+            r = cayley_retract(w, scale)
+            if not first:
+                first.append(StiefelPoint._unchecked(0.99 * r.x))
+                return first[0]
+            return r
+
+        monkeypatch.setattr(solvers, "cayley_retract", retract)
+        gamma, x_next, f_next, trials = line_search(
+            self.obj, self.grad, gamma_in, self.cfg,
+            f_y=self.f_y, grad_norm_sq=self.gn2,
+        )
+        assert trials >= 2 and x_next is not first[0]
+        assert f_next <= self.f_y - 0.5 * gamma * self.gn2
+        assert x_next.orth_error <= 1e-15
+        with pytest.raises(ValueError, match="columns are not orthonormal"):
+            first[0].orth_error
+
     def test_exhaustion_in_the_grow_loop_raises(self, monkeypatch):
         # a retraction that never fails keeps the search growing gamma
         # until the budget runs out
@@ -221,6 +247,30 @@ class TestLineSearch:
         with pytest.raises(LineSearchFailedError, match="in 60 trials"):
             line_search(obj, grad, 0.1, self.cfg, f_y=f_y, grad_norm_sq=gn2)
         assert obj.calls == LINESEARCH_TRIALS == 60
+
+
+class TestKeptPointsAreChecked:
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_a_non_orthonormal_step_raises(self, monkeypatch, method):
+        # every trial point, so the accepted one too, is 0.99 times the
+        # true point; the first pass keeps it as the iterate
+        def retract(w, scale):
+            return StiefelPoint._unchecked(0.99 * cayley_retract(w, scale).x)
+
+        monkeypatch.setattr(solvers, "cayley_retract", retract)
+        obj = make_objective(parse_spectrum("linear:30"), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="columns are not orthonormal"):
+            SOLVERS[method](obj, random_point(30, 3, 0), SolverConfig())
+
+    @pytest.mark.parametrize("method", ["agd-function", "agd-gradient"])
+    def test_a_non_orthonormal_look_ahead_point_raises(self, monkeypatch, method):
+        def lerp(base, target, alpha):
+            return StiefelPoint._unchecked(0.99 * geometry.lerp(base, target, alpha).x)
+
+        monkeypatch.setattr(solvers, "lerp", lerp)
+        obj = make_objective(parse_spectrum("linear:30"), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="columns are not orthonormal"):
+            SOLVERS[method](obj, random_point(30, 3, 0), SolverConfig())
 
 
 class TestGradientDescent:

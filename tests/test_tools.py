@@ -45,15 +45,16 @@ def outcome(method, passes, applies, error=None):
 
 
 class FakeWorkload:
-    """Per seed s: agd-function makes s passes, agd-gradient 10 s; the
-    gradient solve of seed 2 fails its check."""
+    """Per seed s: agd-function makes s passes, agd-gradient 10 s, the
+    unit's fingerprint is "fp<s>"; the gradient solve of seed 2 fails its
+    check."""
 
     def prepare(self, seed):
         self.seed = seed
 
     def run(self):
         s = self.seed
-        return SimpleNamespace(outcomes=[
+        return SimpleNamespace(fingerprint=f"fp{s}", outcomes=[
             outcome("agd-function", s, 3 * s),
             outcome("agd-gradient", 10 * s, 30 * s,
                     "termination max_iterations" if s == 2 else None),
@@ -68,6 +69,7 @@ def test_sums_per_method_and_in_total(tool, fake_workloads, capsys):
         "passes": {"agd-function": 6, "agd-gradient": 60, "total": 66},
         "operator_applies": {"agd-function": 18, "agd-gradient": 180,
                              "total": 198},
+        "fingerprints": {"1": "fp1", "2": "fp2", "3": "fp3"},
         "solves": 6,
         "failed": 1,
     }

@@ -5,9 +5,11 @@
 Runs the unit of WORKLOAD (a name in ``perfbench/workloads.py``) once for
 each seed FIRST..LAST, with BLAS pinned to one thread, and prints one JSON
 line: the sums of ``passes`` and ``operator_applies`` per method and in
-total, the number of solves and the number that failed a check. Pass
-counts are deterministic, so one run per seed suffices; this is the
-aggregate count gate of ROADMAP.md. The package is imported from ``src/``
+total, each seed's unit fingerprint (the one ``perfbench/run.py`` reports),
+the number of solves and the number that failed a check. Pass counts and
+fingerprints are deterministic, so one run per seed suffices; this is the
+aggregate count gate of ROADMAP.md, and with equal fingerprints the
+same-bits gate, without a timing run. The package is imported from ``src/``
 of the checkout the script sits in, and nothing under ``perfbench/`` is
 written.
 """
@@ -28,11 +30,14 @@ def count(make, name: str, first: int, last: int) -> dict:
     each unit built by ``make(name)``."""
     passes: dict[str, int] = {}
     applies: dict[str, int] = {}
+    fingerprints: dict[str, str] = {}
     solves = failed = 0
     for seed in range(first, last + 1):
         workload = make(name)
         workload.prepare(seed)
-        for outcome in workload.run().outcomes:
+        unit = workload.run()
+        fingerprints[str(seed)] = unit.fingerprint
+        for outcome in unit.outcomes:
             passes[outcome.method] = passes.get(outcome.method, 0) + outcome.passes
             applies[outcome.method] = (
                 applies.get(outcome.method, 0) + outcome.operator_applies
@@ -44,6 +49,7 @@ def count(make, name: str, first: int, last: int) -> dict:
         "seeds": [first, last],
         "passes": dict(sorted(passes.items()), total=sum(passes.values())),
         "operator_applies": dict(sorted(applies.items()), total=sum(applies.values())),
+        "fingerprints": fingerprints,
         "solves": solves,
         "failed": failed,
     }
