@@ -30,7 +30,14 @@ check (``DualTangentVector.xtw``, also read by the metric), and W^T W,
 further line-search trial costs two scaled adds, one 2k x 2k solve and
 one n x 2k product. The point it returns wraps that product without a
 copy; its X^T X and orthonormality check are formed only if the point is
-read as an iterate, so a rejected trial pays for neither.
+read as an iterate, so a rejected trial pays for neither. A dual vector
+``project_dual`` builds is not copied or scanned either; its skew check
+also rejects NaN and inf. For k >= 2, [W, X] is Fortran-ordered like the
+2k x k solution LAPACK returns, which keeps numpy's product off BLAS's
+slow transposed-packing path; packed GEMM does the same arithmetic in any
+layout, so the bits do not change. At k = 1 the product is a
+matrix-vector product that the layout does not speed up, and [W, X] stays
+C-ordered.
 
 The geodesic retraction X(t) = expm(t B) X is reduced to the invariant
 subspace span([X, W]) (dimension <= 2k) before exponentiating. The Cayley
@@ -135,16 +142,23 @@ def _tangent_array(a, base: StiefelPoint, space: str) -> tuple[np.ndarray, np.nd
     """``a`` as a read-only copy in the (dual) tangent space at ``base``,
     and the read-only x^T a that the check forms."""
     a = as_matrix(a, f"{space} vector")
-    x = base.x
-    if a.shape != x.shape:
-        raise ValueError(f"shape {a.shape} does not match base {x.shape}")
-    xta = x.T @ a
+    if a.shape != base.x.shape:
+        raise ValueError(f"shape {a.shape} does not match base {base.x.shape}")
+    return a, _check_tangent(a, base, space)
+
+
+def _check_tangent(a: np.ndarray, base: StiefelPoint, space: str) -> np.ndarray:
+    """The read-only x^T a; raises ValueError unless a is in the (dual)
+    tangent space at ``base``, as any NaN or inf entry makes it not."""
+    xta = base.x.T @ a
     skew = np.linalg.norm(xta + xta.T)
-    if skew > INVARIANT_TOL:
+    if not skew <= INVARIANT_TOL:
+        if not math.isfinite(skew):
+            raise ValueError(f"{space} vector contains non-finite entries")
         raise ValueError(
             f"not in the {space} space: ||a^T x + x^T a||_F = {skew:.3e}"
         )
-    return a, read_only(xta)
+    return read_only(xta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +180,25 @@ class DualTangentVector:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "xtw", xtw)
 
+    @classmethod
+    def _fresh(cls, w: np.ndarray, base: StiefelPoint) -> DualTangentVector:
+        """Wrap ``w``, a fresh C-ordered n x k array no one else holds, as
+        a read-only vector at ``base``: no copy and no finiteness scan, but
+        the skew check and its x^T w, as in the constructor."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "w", read_only(w))
+        object.__setattr__(v, "base", base)
+        object.__setattr__(v, "xtw", _check_tangent(w, base, "dual tangent"))
+        return v
+
     @cached_property
     def wx(self) -> np.ndarray:
-        return read_only(np.concatenate((self.w, self.base.x), axis=1))
+        x = self.base.x
+        k = x.shape[1]
+        wx = np.empty((x.shape[0], 2 * k), order="F" if k > 1 else "C")
+        wx[:, :k] = self.w
+        wx[:, k:] = x
+        return read_only(wx)
 
     @cached_property
     def pencil(self) -> np.ndarray:
@@ -222,14 +252,15 @@ def project_dual(base: StiefelPoint, raw) -> DualTangentVector:
     """Orthogonal projection of an arbitrary n x k matrix onto the dual
     tangent space at ``base``: W - X (W^T X + X^T W) / 2.
 
-    Idempotent; dual tangent vectors are exactly its fixed points.
+    Idempotent; dual tangent vectors are exactly its fixed points. Raises
+    ValueError if ``raw`` or the projection is not finite.
     """
     w = np.asarray(raw, dtype=np.float64)
     x = base.x
     if w.shape != x.shape:
         raise ValueError(f"shape {w.shape} does not match base {x.shape}")
     xtw = x.T @ w
-    return DualTangentVector(w - 0.5 * (x @ (xtw + xtw.T)), base)
+    return DualTangentVector._fresh(w - 0.5 * (x @ (xtw + xtw.T)), base)
 
 
 def metric(y1: TangentVector, y2: TangentVector) -> float:
@@ -352,9 +383,11 @@ def retract_inverse(base: StiefelPoint, target: StiefelPoint) -> DualTangentVect
     V is formed as Y (2 M^{-1}), M = I + X^T Y: one k x k solve against the
     identity, then one n x k product. Solving M^T Z = Y^T against all n
     rows of Y costs LAPACK about 4x this whole path at n = 1000, k = 10.
+    A C-ordered copy of the Fortran-ordered factor makes that product
+    faster with the same bits.
     """
     _, c = _inverse_factor(base, target)
-    return project_dual(base, target.x @ c)
+    return project_dual(base, target.x @ np.ascontiguousarray(c))
 
 
 def dual_metric_inverse(w: DualTangentVector, target: StiefelPoint) -> float:

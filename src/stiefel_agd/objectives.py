@@ -18,14 +18,14 @@ oracle in tests and benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NotSymmetricError
 from .geometry import DualTangentVector, StiefelPoint, project_dual
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, read_only
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,12 @@ class SpectrumInfo:
 
 @dataclass(frozen=True)
 class DiagonalOperator:
-    """Diagonal symmetric operator; the fast path used in the experiments."""
+    """Diagonal symmetric operator; the fast path used in the experiments.
+    ``apply`` multiplies by an n x k tile of the values, cached per k: the
+    products of broadcasting ``values[:, None]``, in fewer numpy loops."""
 
     values: np.ndarray
+    _tiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", as_vector(self.values, "diagonal values"))
@@ -59,7 +62,11 @@ class DiagonalOperator:
         return self.values.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.values[:, None] * x
+        k = x.shape[1]
+        tile = self._tiles.get(k)
+        if tile is None:
+            tile = self._tiles[k] = read_only(np.repeat(self.values[:, None], k, axis=1))
+        return tile * x
 
 
 @dataclass(frozen=True)
@@ -103,16 +110,26 @@ def _as_weights(weights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A weighted quadratic objective: symmetric operator plus weights."""
+    """A weighted quadratic objective: symmetric operator plus weights.
+
+    ``value`` keeps the point, A X and f of its last call, which
+    ``value_and_gradient`` reuses when handed that same point object (in
+    gradient descent, the accepted trial). The gradient multiplies A X by
+    an n x k tile of the weights, built once, like the diagonal operator.
+    """
 
     operator: DiagonalOperator | DenseOperator
     weights: np.ndarray
+    _weight_tile: np.ndarray = field(init=False, repr=False, compare=False)
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = _as_weights(self.weights)
         if w.size > self.operator.n:
             raise ValueError("more weights than operator dimensions")
         object.__setattr__(self, "weights", w)
+        tile = np.repeat(w[None, :], self.operator.n, axis=0)
+        object.__setattr__(self, "_weight_tile", read_only(tile))
 
     @property
     def n(self) -> int:
@@ -134,17 +151,24 @@ class ObjectiveSpec:
 
     def value(self, x: StiefelPoint) -> float:
         """Objective value; one operator application."""
-        return self._evaluate(x)[1]
+        ax, value = self._evaluate(x)
+        object.__setattr__(self, "_last", (x, ax, value))
+        return value
 
     def value_and_gradient(self, x: StiefelPoint) -> EvalResult:
-        """Value and dual-tangent gradient; one operator application.
+        """Value and dual-tangent gradient; one operator application, none
+        if ``x`` is the point of the last ``value`` call.
 
         The Euclidean gradient of the half-weighted quadratic is
         A X diag(alpha); the dual gradient is its projection onto the
-        dual tangent space at X.
+        dual tangent space at X. Raises ValueError if it is not finite.
         """
-        ax, value = self._evaluate(x)
-        return EvalResult(value, project_dual(x, ax * self.weights[None, :]))
+        last = self._last
+        if last is not None and last[0] is x:
+            _, ax, value = last
+        else:
+            ax, value = self._evaluate(x)
+        return EvalResult(value, project_dual(x, ax * self._weight_tile))
 
 
 def sphere_condition_number(spectrum: SpectrumInfo) -> float:

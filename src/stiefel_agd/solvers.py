@@ -134,7 +134,11 @@ class RunTrace:
     of all passes, ``LINESEARCH_TRIALS`` for a search that failed; a trial
     whose Cayley solve failed counts although it evaluates nothing.
     ``g_evals`` counts ``value_and_gradient`` calls, one at the top of each
-    pass: at x0 first, then at each look-ahead point.
+    pass: at x0 first, then at each look-ahead point. A gradient at the
+    point the last trial valued (the new iterate, in gradient descent)
+    reuses that trial's A X, so ``f_evals + g_evals`` (perfbench's
+    ``operator_applies``) counts evaluation calls, not operator
+    applications.
     """
 
     records: list[IterationRecord] = field(default_factory=list)

@@ -96,8 +96,15 @@ class TestTypes:
 
     def test_dual_vector_invariant_enforced(self):
         x = StiefelPoint(np.array([[1.0], [0.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in the dual tangent space"):
             DualTangentVector(np.array([[1.0], [0.0]]), x)
+
+    @pytest.mark.parametrize("cls", [DualTangentVector, TangentVector])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_vector_non_finite_entries_rejected(self, cls, bad):
+        x = StiefelPoint(np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            cls(np.array([[0.0], [bad]]), x)
 
     @pytest.mark.parametrize("cls", [DualTangentVector, TangentVector])
     def test_vector_shape_must_match_base(self, cls):
@@ -188,6 +195,49 @@ class TestProjectDual:
         with pytest.raises(ValueError):
             project_dual(x, np.ones((5, 3)))
 
+    @pytest.mark.parametrize("n, k", [(30, 4), (9, 1), (1, 1)])
+    def test_same_bits_as_the_checked_constructor(self, n, k):
+        x = random_point(n, k, 5)
+        raw = np.random.default_rng(6).standard_normal((n, k))
+        w = project_dual(x, raw)
+        checked = DualTangentVector(w.w, x)
+        assert np.array_equal(w.w, checked.w) and np.array_equal(w.xtw, checked.xtw)
+        assert w.base is x
+        assert w.w.flags.c_contiguous and not w.w.flags.writeable
+        assert not w.xtw.flags.writeable
+        raw[0, 0] = 1e6  # the vector does not share the caller's array
+        assert np.array_equal(w.w, checked.w)
+
+    def test_fortran_ordered_raw_gives_the_same_bits(self):
+        x = random_point(20, 3, 1)
+        raw = np.random.default_rng(2).standard_normal((20, 3))
+        w = project_dual(x, np.asfortranarray(raw))
+        assert w.w.flags.c_contiguous
+        assert np.array_equal(w.w, project_dual(x, raw).w)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        x = random_point(6, 2, 3)
+        raw = np.ones((6, 2))
+        raw[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            project_dual(x, raw)
+
+    def test_skew_check_is_nan_safe(self):
+        x = random_point(6, 2, 3)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            DualTangentVector._fresh(np.full((6, 2), np.nan), x)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_wx_is_w_then_x_in_fortran_order_for_k_above_1(self, k):
+        x = random_point(8, k, 0)
+        w = rand_dual(x, np.random.default_rng(1))
+        assert np.array_equal(w.wx, np.concatenate((w.w, x.x), axis=1))
+        assert w.wx.flags.f_contiguous == (k > 1)
+        assert w.wx.flags.c_contiguous == (k == 1)
+        assert not w.wx.flags.writeable
+
 
 class TestMetrics:
     def test_hand_values(self):
@@ -274,7 +324,7 @@ class TestCayleyRetract:
         x = random_point(n, k, n + k)
         return x, rand_dual(x, np.random.default_rng(n * 10 + k))
 
-    @pytest.mark.parametrize("n, k", [(12, 3), (9, 1), (5, 5), (1, 1)])
+    @pytest.mark.parametrize("n, k", [(12, 3), (9, 1), (5, 5), (1, 1), (40, 10), (7, 2)])
     @pytest.mark.parametrize("scale", [-0.3, 1.0, -7.5])
     def test_same_bits_as_the_smw_formula(self, n, k, scale):
         x, w = self.case(n, k)

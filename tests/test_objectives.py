@@ -123,6 +123,96 @@ class TestEvaluate:
             DenseOperator(np.ones((2, 3)))
 
 
+class TestDiagonalOperator:
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_same_bits_as_broadcasting(self, k):
+        values = np.random.default_rng(k).standard_normal(12)
+        x = np.random.default_rng(k + 1).standard_normal((12, k))
+        before = x.copy()
+        operator = DiagonalOperator(values)
+        for _ in range(2):  # building the tile, then reading it
+            assert np.array_equal(operator.apply(x), values[:, None] * x)
+        assert np.array_equal(x, before)
+
+    def test_column_counts_alternate_on_one_operator(self):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(9)
+        operator = DiagonalOperator(values)
+        for k in (1, 3, 1, 10, 3, 10):
+            x = rng.standard_normal((9, k))
+            assert np.array_equal(operator.apply(x), values[:, None] * x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on inf and overflow
+class TestNonFiniteGradient:
+    def test_nan_point(self):
+        spec = make_objective(SpectrumInfo([1.0, 2.0, 3.0]), [1.0, 2.0])
+        x = StiefelPoint._unchecked(np.full((3, 2), np.nan))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            spec.value_and_gradient(x)
+
+    def test_inf_point(self):
+        spec = make_objective(SpectrumInfo([1.0, 2.0, 3.0]), [1.0])
+        x = StiefelPoint._unchecked(np.array([[np.inf], [0.0], [0.0]]))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            spec.value_and_gradient(x)
+
+    def test_overflowing_operator_product(self):
+        # A X = 1.5e308 * sqrt(2) exceeds the largest double
+        spec = ObjectiveSpec(DenseOperator(np.full((2, 2), 1.5e308)), [1.0])
+        x = StiefelPoint(np.full((2, 1), np.sqrt(0.5)))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            spec.value_and_gradient(x)
+
+
+class CountingOperator(DiagonalOperator):
+    """A diagonal operator that counts its applications."""
+
+    calls = 0
+
+    def apply(self, x):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().apply(x)
+
+
+class TestEvaluationReuse:
+    """A gradient at the point ``value`` saw last reuses its A X."""
+
+    @staticmethod
+    def counted(n=20, k=3):
+        operator = CountingOperator(np.arange(1.0, n + 1.0))
+        return ObjectiveSpec(operator, np.arange(1.0, k + 1.0)), operator
+
+    def test_same_point_object_applies_once(self):
+        spec, operator = self.counted()
+        p = random_point(20, 3, 1)
+        f = spec.value(p)
+        res = spec.value_and_gradient(p)
+        assert operator.calls == 1
+        fresh = make_objective(SpectrumInfo(np.arange(1.0, 21.0)), [1.0, 2.0, 3.0])
+        ref = fresh.value_and_gradient(p)
+        assert res.value == f == ref.value
+        assert np.array_equal(res.grad.w, ref.grad.w)
+
+    def test_equal_array_in_another_point_applies_again(self):
+        spec, operator = self.counted()
+        p = random_point(20, 3, 1)
+        f = spec.value(p)
+        res = spec.value_and_gradient(StiefelPoint(p.x.copy()))
+        assert operator.calls == 2
+        assert res.value == f
+        assert np.array_equal(res.grad.w, spec.value_and_gradient(p).grad.w)
+
+    def test_only_the_last_valued_point_is_reused(self):
+        spec, operator = self.counted()
+        p, q = random_point(20, 3, 1), random_point(20, 3, 2)
+        spec.value(p)
+        spec.value(q)
+        spec.value_and_gradient(p)
+        spec.value_and_gradient(p)  # a gradient does not take the slot
+        assert operator.calls == 4
+
+
 class TestCallerArrays:
     """Each object keeps its own copy: writing to the caller's array
     afterwards changes neither the object nor what it checked."""

@@ -37,6 +37,8 @@ from stiefel_agd.solvers import (
     line_search,
 )
 
+from test_objectives import CountingOperator
+
 SOLVERS = {
     "gd": gradient_descent,
     "agd-function": agd_function_restart,
@@ -333,6 +335,30 @@ class TestGradientDescent:
         # the patch reaches the momentum path, so the check above is not vacuous
         with pytest.raises(Inverted):
             agd_function_restart(obj, x0, SolverConfig())
+
+
+class TestOperatorApplications:
+    """A gradient at the point the line search valued last (the accepted
+    trial) reuses its A X; every other evaluation applies A once."""
+
+    @staticmethod
+    def run(solver):
+        operator = CountingOperator(np.arange(1.0, 41.0))
+        obj = ObjectiveSpec(operator, [1.0, 2.0, 3.0])
+        trace = solver(obj, random_point(40, 3, 5), SolverConfig())
+        assert trace.termination == CONVERGED
+        return trace, operator.calls
+
+    def test_gradient_descent_applies_once_per_trial_and_once_at_x0(self):
+        trace, calls = self.run(gradient_descent)
+        assert calls == trace.f_evals + 1 < trace.f_evals + trace.g_evals
+
+    @pytest.mark.parametrize("method", ["agd-function", "agd-gradient"])
+    def test_momentum_methods_apply_once_per_evaluation(self, method):
+        # the look-ahead point comes from the extrapolation, never valued
+        trace, calls = self.run(SOLVERS[method])
+        assert trace.iterations > 0
+        assert calls == trace.f_evals + trace.g_evals
 
 
 class TestLineSearchFailureHandling:
