@@ -165,26 +165,11 @@ class TestNonFiniteGradient:
             spec.value_and_gradient(x)
 
 
-class CountingOperator(DiagonalOperator):
-    """A diagonal operator that counts its applications."""
-
-    calls = 0
-
-    def apply(self, x):
-        object.__setattr__(self, "calls", self.calls + 1)
-        return super().apply(x)
-
-
 class TestEvaluationReuse:
     """A gradient at the point ``value`` saw last reuses its A X."""
 
-    @staticmethod
-    def counted(n=20, k=3):
-        operator = CountingOperator(np.arange(1.0, n + 1.0))
-        return ObjectiveSpec(operator, np.arange(1.0, k + 1.0)), operator
-
-    def test_same_point_object_applies_once(self):
-        spec, operator = self.counted()
+    def test_same_point_object_applies_once(self, counted_objective):
+        spec, operator = counted_objective(20, 3)
         p = random_point(20, 3, 1)
         f = spec.value(p)
         res = spec.value_and_gradient(p)
@@ -194,8 +179,8 @@ class TestEvaluationReuse:
         assert res.value == f == ref.value
         assert np.array_equal(res.grad.w, ref.grad.w)
 
-    def test_equal_array_in_another_point_applies_again(self):
-        spec, operator = self.counted()
+    def test_equal_array_in_another_point_applies_again(self, counted_objective):
+        spec, operator = counted_objective(20, 3)
         p = random_point(20, 3, 1)
         f = spec.value(p)
         res = spec.value_and_gradient(StiefelPoint(p.x.copy()))
@@ -203,8 +188,8 @@ class TestEvaluationReuse:
         assert res.value == f
         assert np.array_equal(res.grad.w, spec.value_and_gradient(p).grad.w)
 
-    def test_only_the_last_valued_point_is_reused(self):
-        spec, operator = self.counted()
+    def test_only_the_last_valued_point_is_reused(self, counted_objective):
+        spec, operator = counted_objective(20, 3)
         p, q = random_point(20, 3, 1), random_point(20, 3, 2)
         spec.value(p)
         spec.value(q)

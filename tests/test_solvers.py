@@ -37,8 +37,6 @@ from stiefel_agd.solvers import (
     line_search,
 )
 
-from test_objectives import CountingOperator
-
 SOLVERS = {
     "gd": gradient_descent,
     "agd-function": agd_function_restart,
@@ -342,21 +340,22 @@ class TestOperatorApplications:
     trial) reuses its A X; every other evaluation applies A once."""
 
     @staticmethod
-    def run(solver):
-        operator = CountingOperator(np.arange(1.0, 41.0))
-        obj = ObjectiveSpec(operator, [1.0, 2.0, 3.0])
+    def run(solver, counted_objective):
+        obj, operator = counted_objective(40, 3)
         trace = solver(obj, random_point(40, 3, 5), SolverConfig())
         assert trace.termination == CONVERGED
         return trace, operator.calls
 
-    def test_gradient_descent_applies_once_per_trial_and_once_at_x0(self):
-        trace, calls = self.run(gradient_descent)
+    def test_gradient_descent_applies_once_per_trial_and_once_at_x0(
+            self, counted_objective):
+        trace, calls = self.run(gradient_descent, counted_objective)
         assert calls == trace.f_evals + 1 < trace.f_evals + trace.g_evals
 
     @pytest.mark.parametrize("method", ["agd-function", "agd-gradient"])
-    def test_momentum_methods_apply_once_per_evaluation(self, method):
+    def test_momentum_methods_apply_once_per_evaluation(
+            self, method, counted_objective):
         # the look-ahead point comes from the extrapolation, never valued
-        trace, calls = self.run(SOLVERS[method])
+        trace, calls = self.run(SOLVERS[method], counted_objective)
         assert trace.iterations > 0
         assert calls == trace.f_evals + trace.g_evals
 

@@ -1,9 +1,9 @@
 """Time the per-call cost of the calls a solver pass is made of.
 
-    python tools/percall.py [--sizes 316x10,1000x10,1000x1] [--number 1000] [--repeat 5]
+    python tools/percall.py
 
-For each size n x k, on the Brockett cost with eigenvalues 1..n and
-weights 1..k at ``random_point(n, k, 0)``, times
+For each size n x k in ``SIZES``, on the Brockett cost with eigenvalues
+1..n and weights 1..k at ``random_point(n, k, 0)``, times
 
   * ``trial_and_gradient``: a further line-search trial (the Cayley step
     along the gradient, after one call has built its pencil, and the
@@ -14,7 +14,7 @@ weights 1..k at ``random_point(n, k, 0)``, times
   * ``lerp_and_check``: ``lerp`` through the point and a trial point with
     the momentum factor 1.5, and the orthonormality check of the result.
 
-and prints one JSON line: the best of ``--repeat`` runs of ``--number``
+and prints one JSON line: the best of ``REPEAT`` runs of ``NUMBER``
 calls each, in microseconds per call, with BLAS pinned to one thread and
 the numpy and scipy versions. The package is imported from ``src/`` of the
 checkout the script sits in, so a copy of the script placed in another
@@ -23,7 +23,6 @@ checkout times that checkout's code.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -31,6 +30,9 @@ import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIZES = [(316, 10), (1000, 10), (1000, 1)]
+NUMBER = 1000  # calls per timed run
+REPEAT = 5  # timed runs per call; the best is kept
 
 
 def calls(n: int, k: int) -> dict:
@@ -90,28 +92,10 @@ def measure(sizes: list[tuple[int, int]], number: int, repeat: int) -> dict:
     }
 
 
-def parse_sizes(text: str) -> list[tuple[int, int]]:
-    """"316x10,1000x1" -> [(316, 10), (1000, 1)]; each needs 1 <= k <= n."""
-    sizes = []
-    for item in text.split(","):
-        n, sep, k = item.partition("x")
-        if not (sep and n.isdigit() and k.isdigit() and 1 <= int(k) <= int(n)):
-            raise argparse.ArgumentTypeError(f"bad size {item!r}: want NxK, 1 <= K <= N")
-        sizes.append((int(n), int(k)))
-    return sizes
-
-
-def main(argv=None) -> int:
+def main() -> int:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is first imported
     sys.path.insert(0, str(ROOT / "src"))
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--sizes", type=parse_sizes, default="316x10,1000x10,1000x1")
-    p.add_argument("--number", type=int, default=1000)
-    p.add_argument("--repeat", type=int, default=5)
-    args = p.parse_args(argv)
-    if args.number < 1 or args.repeat < 1:
-        p.error("--number and --repeat must be at least 1")
-    print(json.dumps(measure(args.sizes, args.number, args.repeat)))
+    print(json.dumps(measure(SIZES, NUMBER, REPEAT)))
     return 0
 
 
