@@ -39,6 +39,21 @@ layout, so the bits do not change. At k = 1 the product is a
 matrix-vector product that the layout does not speed up, and [W, X] stays
 C-ordered.
 
+Subnormal floats are kept out of the trial arithmetic. On a diagonal
+operator the rows of X off the answer's support decay geometrically, and
+a long gradient-descent run would otherwise compute with numbers below
+2^-1022, each of which costs the SIMD units a microcode assist. So when a
+Cayley retraction's base point has an entry of magnitude below ``TINY`` =
+sqrt(smallest normal) = 2^-511 (``StiefelPoint.has_tiny``, one
+elementwise pass on first read), every entry of its output below ``TINY``
+is set to 0.0; this covers line-search trials and ``lerp``'s output. The
+product of two entries at or above 2^-511 is still a normal number, and
+an entry below it is far below anything the solver resolves. A base
+without such an entry gets its output bit for bit, and points the caller
+builds are never changed. The price: on a diagonal operator a zeroed row
+stays zero, so a start whose component along the answer lies below
+2^-511 stays trapped there (without the snap, below 2^-1074).
+
 The geodesic retraction X(t) = expm(t B) X is reduced to the invariant
 subspace span([X, W]) (dimension <= 2k) before exponentiating. The Cayley
 map is the (1,1) rational approximant of that exponential, so the two
@@ -68,6 +83,11 @@ from .errors import (
 )
 from .linalg import as_matrix, qr_thin, read_only, solve_square
 
+#: sqrt(smallest normal float64) = 2^-511 ~ 1.49e-154. A Cayley retraction
+#: from a base with an entry below it sets its output's entries below it
+#: to 0.0 (see the module docstring).
+TINY = math.sqrt(np.finfo(np.float64).smallest_normal)
+
 #: Construction-time tolerance for the orthonormality / skewness invariants.
 #: The bound is absolute, whatever the size of what it checks, so rounding
 #: alone can exceed it on a large gradient: Brockett ``quadratic:3162`` with
@@ -89,6 +109,8 @@ class StiefelPoint:
     and checks its input at once; a point a retraction returns wraps its
     fresh array and is checked when the solvers keep it as an iterate or
     look-ahead point, so a rejected line-search trial is never checked.
+    ``has_tiny`` (some entry has |x| < ``TINY``, zeros included) is formed
+    on first read by one elementwise pass and cached.
     """
 
     x: np.ndarray
@@ -112,6 +134,10 @@ class StiefelPoint:
     @cached_property
     def xtx(self) -> np.ndarray:
         return read_only(self.x.T @ self.x)
+
+    @cached_property
+    def has_tiny(self) -> bool:
+        return bool(np.abs(self.x).min() < TINY)
 
     @cached_property
     def orth_error(self) -> float:
@@ -303,6 +329,14 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     reduced solve only occur for pathologically large steps; they surface
     as RetractionFailedError. The system is w's pencil at h = scale / 2,
     and 2 U S = [W, X] [scale S_top; 2 S_bottom].
+
+    If the base has an entry below ``TINY`` = 2^-511 (``base.has_tiny``),
+    the output's entries below ``TINY`` are set to 0.0: products of
+    entries at or above it are normal floats, so no subnormal reaches the
+    trials and gradients that follow. A base without such an entry gets
+    the output bit for bit. On a diagonal operator a zeroed row stays
+    zero, so a start whose component along the answer lies below 2^-511
+    cannot recover it.
     """
     base = w.base
     if scale == 0.0:
@@ -324,6 +358,8 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     s[k:] *= 2.0
     r = w.wx @ s
     r += base.x
+    if base.has_tiny:
+        r[np.abs(r) < TINY] = 0.0
     return StiefelPoint._unchecked(r)
 
 

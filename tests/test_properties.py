@@ -2,16 +2,21 @@
 
 Shapes cover k = 1, k = n, n = 1 and k = n - 1. The conditioning bound
 cond(I + X^T Y) <= 2 / sqrt(3 - ||X - Y||_F^2) is checked on Cayley steps
-pushed until ||X - Y||_F^2 is just below 3.
+pushed until ||X - Y||_F^2 is just below 3. Bases whose trailing rows are
+about 2^-600 check that no Cayley output holds an entry in (0, TINY).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from stiefel_agd import geometry
 from stiefel_agd.geometry import (
+    TINY,
+    StiefelPoint,
     cayley_retract,
     dual_norm,
     geodesic_retract,
@@ -20,7 +25,7 @@ from stiefel_agd.geometry import (
     random_point,
     retract_inverse,
 )
-from stiefel_agd.linalg import solve_square
+from stiefel_agd.linalg import qr_thin, solve_square
 
 
 @st.composite
@@ -156,3 +161,63 @@ def test_conditioning_bound_near_its_limit(pw, digits):
     # the inverse retraction still recovers y there
     back = cayley_retract(retract_inverse(x, y), 1.0)
     assert np.linalg.norm(back.x - y.x) <= 1e-12 * bound
+
+
+@st.composite
+def tiny_tailed_point_and_direction(draw):
+    """A point with n > k whose last 1..n-k rows are about 2^-600, and a
+    dual vector at it whose same rows are as small."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.sampled_from(sorted({1, n - 1})))
+    rows = draw(st.integers(1, n - k))
+    return tiny_tailed(n, k, rows, draw(st.integers(0, 2**32 - 1)))
+
+
+def tiny_tailed(n, k, rows, seed):
+    """The thin QR of a Gaussian matrix with its last ``rows`` rows scaled
+    by 2^-600, and the dual projection of another such matrix at it."""
+    a = np.random.default_rng(seed).standard_normal((2, n, k))
+    a[:, n - rows :] *= 2.0**-600
+    x = StiefelPoint(qr_thin(a[0])[0])
+    return x, project_dual(x, a[1])
+
+
+def outside_the_gap(a) -> bool:
+    """No entry of ``a`` lies in (0, TINY)."""
+    a = np.abs(a)
+    return not np.any((a > 0.0) & (a < TINY))
+
+
+@given(tiny_tailed_point_and_direction(), st.floats(-10.0, 10.0))
+@example(tiny_tailed(2, 1, 1, 0), -0.5)
+@example(tiny_tailed(9, 1, 8, 1), 3.0)
+@example(tiny_tailed(7, 6, 1, 2), -0.5)
+@example(tiny_tailed(12, 11, 1, 3), 3.0)
+def test_cayley_output_from_a_tiny_entried_base_has_none(pw, scale):
+    assume(scale != 0.0)  # which returns the base itself
+    x, w = pw
+    assert x.has_tiny
+    y = cayley_retract(w, scale)
+    assert outside_the_gap(y.x)
+    assert y.orth_error <= 1e-12
+    # lerp retracts from its base too
+    assert outside_the_gap(lerp(x, y, 1.5).x)
+
+
+@given(point_and_direction(), st.floats(-10.0, 10.0))
+def test_a_base_without_tiny_entries_keeps_the_output_bits(pw, scale):
+    x, w = pw
+    assert not x.has_tiny
+    y = cayley_retract(w, scale).x
+    with mock.patch.object(geometry, "TINY", 0.0):
+        assert np.array_equal(y, cayley_retract(w, scale).x)
+
+
+@given(tiny_tailed_point_and_direction())
+def test_a_caller_built_point_keeps_its_tiny_entries(pw):
+    x, w = pw
+    assert not outside_the_gap(x.x) and not outside_the_gap(w.w)
+    copy = StiefelPoint(x.x)
+    assert np.array_equal(copy.x, x.x) and copy.has_tiny
+    cayley_retract(w, 1.0)
+    assert not outside_the_gap(x.x)

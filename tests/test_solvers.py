@@ -335,6 +335,54 @@ class TestGradientDescent:
             agd_function_restart(obj, x0, SolverConfig())
 
 
+def holds_subnormals(a) -> bool:
+    a = np.abs(a)
+    return bool(np.any((a > 0.0) & (a < np.finfo(np.float64).smallest_normal)))
+
+
+class TestSubnormals:
+    """GD on sphere ``linear:100`` from ``random_point(100, 1, 0)`` drives
+    the entries off the answer geometrically toward zero, past 2^-1022
+    without the snap of ``cayley_retract``."""
+
+    @staticmethod
+    def run(monkeypatch):
+        """The trace, and how many trial points, gradients w and [w, x]
+        blocks of the line searches hold subnormal entries."""
+        census = {"trial": 0, "w": 0, "wx": 0}
+
+        def retract(w, scale):
+            r = cayley_retract(w, scale)
+            census["trial"] += holds_subnormals(r.x)
+            census["w"] += holds_subnormals(w.w)  # once per trial, like wx
+            census["wx"] += holds_subnormals(w.wx)
+            return r
+
+        monkeypatch.setattr(solvers, "cayley_retract", retract)
+        obj = make_objective(parse_spectrum("linear:100"), [1.0])
+        trace = gradient_descent(obj, random_point(100, 1, 0), SolverConfig())
+        return trace, census
+
+    def test_no_subnormal_reaches_a_trial_or_gradient(self, monkeypatch):
+        trace, census = self.run(monkeypatch)
+        assert trace.termination == CONVERGED
+        assert len(trace.records) == 446
+        assert census == {"trial": 0, "w": 0, "wx": 0}
+
+    def test_the_snap_changes_no_record(self, monkeypatch):
+        snapped, _ = self.run(monkeypatch)
+        monkeypatch.setattr(geometry, "TINY", 0.0)
+        plain, census = self.run(monkeypatch)
+        assert census["trial"] > 0  # without the snap the run meets subnormals
+        assert plain.records == snapped.records
+        assert (plain.f_evals, plain.g_evals, plain.termination) == (
+            snapped.f_evals, snapped.g_evals, snapped.termination)
+        a, b = plain.final_point.x, snapped.final_point.x
+        moved = a != b
+        assert np.all(np.abs(a[moved]) < 1e-140)
+        assert np.all(np.abs(b[moved]) < 1e-140)
+
+
 class TestOperatorApplications:
     """A gradient at the point the line search valued last (the accepted
     trial) reuses its A X; every other evaluation applies A once."""

@@ -9,6 +9,10 @@ For each size n x k in ``SIZES``, on the Brockett cost with eigenvalues
     along the gradient, after one call has built its pencil, and the
     value at the new point) followed by ``value_and_gradient`` at that
     same point, as in a gradient-descent pass;
+  * ``trial_and_gradient_tiny``: the same, from a point whose last n/2
+    rows are about 2^-600 (the thin QR of a Gaussian matrix with those
+    rows scaled), as the rows off the answer become in a long
+    gradient-descent run;
   * ``value_and_gradient``: the value and gradient at a point that is not
     the last one valued;
   * ``lerp_and_check``: ``lerp`` through the point and a trial point with
@@ -39,7 +43,8 @@ def calls(n: int, k: int) -> dict:
     """The timed callables at size n x k, each after one warm-up call."""
     import numpy as np
 
-    from stiefel_agd.geometry import cayley_retract, lerp, random_point
+    from stiefel_agd.geometry import StiefelPoint, cayley_retract, lerp, random_point
+    from stiefel_agd.linalg import qr_thin
     from stiefel_agd.objectives import DiagonalOperator, ObjectiveSpec
 
     objective = ObjectiveSpec(
@@ -48,8 +53,11 @@ def calls(n: int, k: int) -> dict:
     x = random_point(n, k, 0)
     grad = objective.value_and_gradient(x).grad
     target = cayley_retract(grad, -0.01)
+    a = np.random.default_rng(0).standard_normal((n, k))
+    a[n - n // 2 :] *= 2.0**-600
+    tiny_grad = objective.value_and_gradient(StiefelPoint(qr_thin(a)[0])).grad
 
-    def trial_and_gradient():
+    def trial_and_gradient(grad=grad):
         trial = cayley_retract(grad, -0.01)
         objective.value(trial)
         objective.value_and_gradient(trial)
@@ -62,6 +70,7 @@ def calls(n: int, k: int) -> dict:
 
     found = {
         "trial_and_gradient": trial_and_gradient,
+        "trial_and_gradient_tiny": lambda: trial_and_gradient(tiny_grad),
         "value_and_gradient": value_and_gradient,
         "lerp_and_check": lerp_and_check,
     }
