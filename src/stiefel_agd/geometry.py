@@ -74,7 +74,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InverseRetractionFailedError,
@@ -370,8 +369,11 @@ def geodesic_retract(w: DualTangentVector, t: float) -> StiefelPoint:
     B is skew with rank <= 2k and vanishes off span([X, W]), so the
     exponential is computed on an orthonormal frame of that subspace:
     expm(t B) X = X + Q (expm(t B~) - I) Q^T X with B~ = Q^T B Q of size
-    at most 2k x 2k.
+    at most 2k x 2k. Imports ``scipy.linalg`` (for ``expm``) on first call:
+    the solvers never call this, so the package import does not pay for it.
     """
+    import scipy.linalg
+
     x = w.base.x
     wm = w.w
     # frame: X plus an orthonormal completion of W's component off X,

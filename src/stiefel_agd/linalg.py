@@ -3,20 +3,57 @@
 Matrices are 2-D float64 numpy arrays in row-major (C) order throughout the
 package. ``as_matrix`` and ``as_vector`` turn caller input into checked,
 read-only copies; ``read_only`` is the one place an array is frozen.
-``solve_square`` and ``qr_thin`` delegate to numpy/scipy (LAPACK) behind
-this surface.
+``qr_thin`` calls numpy's QR. ``solve_square`` calls LAPACK ``dgesv`` from
+scipy's compiled LAPACK module, which ``_load_flapack`` loads without
+running the ``scipy.linalg`` package import: that import costs more than
+half of the package's start-up (it clones the numpy namespace), and this
+one routine is all the solvers use of it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import RankDeficientError, SingularMatrixError
 
 _EPS = np.finfo(np.float64).eps
+
+
+def _load_flapack():
+    """scipy's ``scipy.linalg._flapack`` extension, found and loaded without
+    importing ``scipy`` or ``scipy.linalg``.
+
+    The module is registered under its own name in ``sys.modules``, so a
+    later ``import scipy.linalg`` reuses it: ``scipy.linalg.lapack.dgesv``
+    is then the very function object this module calls. Raises ImportError
+    naming the directory searched when the extension is not there.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("stiefel_agd needs scipy", name="scipy")
+    where = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        import scipy
+
+        raise ImportError(f"no {name} extension in {os.pathsep.join(where)} "
+                          f"(scipy {scipy.__version__})", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+dgesv = _load_flapack().dgesv
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:

@@ -11,6 +11,9 @@ live here rather than in a fixture.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -29,6 +32,8 @@ import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from stiefel_agd.objectives import DiagonalOperator, ObjectiveSpec  # noqa: E402
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 settings.register_profile(
     "stiefel-agd", derandomize=True, database=None, deadline=None
@@ -57,3 +62,20 @@ def counted_objective():
         return ObjectiveSpec(operator, np.arange(1.0, k + 1.0)), operator
 
     return make
+
+
+@pytest.fixture
+def fresh_python():
+    """``run(code)`` -> stdout of ``code`` run by a new interpreter that
+    imports the package from ``src/`` with BLAS on one thread; fails the
+    test if the code raises."""
+
+    def run(code):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

@@ -440,6 +440,23 @@ class TestGeodesicRetract:
         z = DualTangentVector(np.zeros((9, 2)), x)
         assert np.allclose(geodesic_retract(z, 1.0).x, x.x, atol=1e-15)
 
+    def test_first_call_imports_scipy_linalg(self, fresh_python):
+        # the bytes agree with a call in this process, where scipy.linalg
+        # was imported long before
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from stiefel_agd.geometry import geodesic_retract, project_dual, random_point\n"
+            "x = random_point(18, 3, 25)\n"
+            "w = project_dual(x, np.random.default_rng(24).standard_normal((18, 3)))\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "print(geodesic_retract(w, 0.8).x.tobytes().hex())\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        x = random_point(18, 3, 25)
+        w = project_dual(x, np.random.default_rng(24).standard_normal((18, 3)))
+        assert fresh_python(code).strip() == geodesic_retract(w, 0.8).x.tobytes().hex()
+
     def test_orthonormality(self):
         rng = np.random.default_rng(27)
         x = random_point(80, 6, 28)

@@ -1,7 +1,14 @@
+import importlib.machinery
+import importlib.util
+import json
+import os
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgetrf, dgetrs
 
+from stiefel_agd import linalg
 from stiefel_agd.errors import (
     NotSymmetricError,
     RankDeficientError,
@@ -81,6 +88,44 @@ class TestSolveSquare:
             solve_square(np.ones((2, 3)), np.ones((2, 1)))
         with pytest.raises(ValueError):
             solve_square(np.eye(2), np.ones((3, 1)))
+
+
+class TestLapackLoading:
+    def test_package_and_solves_leave_scipy_linalg_unimported(self, fresh_python):
+        out = fresh_python(
+            "import json, sys\n"
+            "import numpy as np\n"
+            "import stiefel_agd, stiefel_agd.cli\n"
+            "from stiefel_agd import (DiagonalOperator, ObjectiveSpec, SolverConfig,\n"
+            "                         gradient_descent, random_point)\n"
+            "objective = ObjectiveSpec(DiagonalOperator(np.arange(1.0, 31.0)),\n"
+            "                          np.arange(1.0, 4.0))\n"
+            "trace = gradient_descent(objective, random_point(30, 3, 0),\n"
+            "                         SolverConfig(max_iter=5))\n"
+            "loaded = sorted(m for m in ('scipy.linalg', 'scipy._lib') if m in sys.modules)\n"
+            "import scipy.linalg.lapack\n"
+            "print(json.dumps({'passes': trace.iterations + trace.restarts,\n"
+            "                  'loaded': loaded,\n"
+            "                  'same': stiefel_agd.linalg.dgesv is scipy.linalg.lapack.dgesv}))\n"
+        )
+        assert json.loads(out) == {"passes": 5, "loaded": [], "same": True}
+
+    def test_missing_extension_raises_import_error(self, monkeypatch):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, name, path=None, target=None: None))
+        with pytest.raises(ImportError, match="_flapack") as exc:
+            linalg._load_flapack()
+        assert os.path.join(os.path.dirname(scipy.__file__), "linalg") in str(exc.value)
+        assert f"scipy {scipy.__version__}" in str(exc.value)
+
+    def test_missing_scipy_raises_module_not_found(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+        with pytest.raises(ModuleNotFoundError, match="needs scipy"):
+            linalg._load_flapack()
 
 
 class TestQrThin:
