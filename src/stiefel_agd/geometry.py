@@ -1,18 +1,12 @@
 """Geometry of the Stiefel manifold under the canonical (quotient) metric.
 
-Points are n x k matrices with orthonormal columns. Tangent and dual
-tangent vectors at X are n x k matrices V, W with V^T X + X^T V = 0; the
-two spaces are paired by the Frobenius inner product and identified via
-the index maps
+Points are n x k matrices with orthonormal columns. Dual tangent vectors
+at X are n x k matrices W with W^T X + X^T W = 0. Gradients and momentum
+directions are carried as dual vectors throughout; a retraction steps
+along the tangent vector raise(W) = (I + X X^T) W. Tangent vectors, the
+index maps and the exact geodesic are test oracles in ``tests/reference.py``.
 
-    raise:  W -> (I + X X^T) W
-    lower:  V -> (I - X X^T / 2) V
-
-which are mutual inverses. Gradients and momentum directions are carried
-as dual vectors throughout; they are raised only where a formula needs a
-tangent vector.
-
-Two retractions are provided. The Cayley retraction
+The Cayley retraction
 
     R(X, raise(W)) = (I - B/2)^{-1} (I + B/2) X,   B = W X^T - X W^T
 
@@ -25,7 +19,7 @@ For a step scale * W and h = scale / 2, the system [I - Z^T U | Z^T X]
 is the quadratic pencil P0 + h P1 + h^2 P2 built from the k x k blocks
 X^T X, X^T W and W^T W. Each n-row Gram block is formed once and reused:
 X^T X by the point's check (``StiefelPoint.xtx``), X^T W by the vector's
-check (``DualTangentVector.xtw``, also read by the metric), and W^T W,
+check (``DualTangentVector.xtw``, also read by ``dual_metric``), and W^T W,
 [W, X] and the pencil by the first retraction along the vector. Every
 further line-search trial costs two scaled adds, one 2k x 2k solve and
 one n x 2k product. The point it returns wraps that product without a
@@ -53,11 +47,6 @@ without such an entry gets its output bit for bit, and points the caller
 builds are never changed. The price: on a diagonal operator a zeroed row
 stays zero, so a start whose component along the answer lies below
 2^-511 stays trapped there (without the snap, below 2^-1074).
-
-The geodesic retraction X(t) = expm(t B) X is reduced to the invariant
-subspace span([X, W]) (dimension <= 2k) before exponentiating. The Cayley
-map is the (1,1) rational approximant of that exponential, so the two
-agree to second order in the step.
 
 The Cayley retraction is invertible in closed form: R(X, raise(V)) = Y is
 solved by V = 2 Y (I + X^T Y)^{-1} followed by projection onto the dual
@@ -190,8 +179,8 @@ def _check_tangent(a: np.ndarray, base: StiefelPoint, space: str) -> np.ndarray:
 class DualTangentVector:
     """Dual tangent vector w at ``base``: w^T x + x^T w = 0.
 
-    ``xtw`` is the read-only x^T w that the check forms, read by the
-    metric, the index maps and ``dual_metric_inverse``. ``wx`` ([w, x])
+    ``xtw`` is the read-only x^T w that the check forms, read by
+    ``dual_metric`` and ``dual_metric_inverse``. ``wx`` ([w, x])
     and ``pencil`` are formed, read-only, on first use by
     ``cayley_retract``.
     """
@@ -248,18 +237,6 @@ class DualTangentVector:
         return read_only(p)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """Tangent vector v at ``base``: v^T x + x^T v = 0."""
-
-    v: np.ndarray
-    base: StiefelPoint
-
-    def __post_init__(self):
-        v, _ = _tangent_array(self.v, self.base, "tangent")
-        object.__setattr__(self, "v", v)
-
-
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
     """Uniform-ish random point: thin QR of an n x k Gaussian matrix.
 
@@ -288,15 +265,6 @@ def project_dual(base: StiefelPoint, raw) -> DualTangentVector:
     return DualTangentVector._fresh(w - 0.5 * (x @ (xtw + xtw.T)), base)
 
 
-def metric(y1: TangentVector, y2: TangentVector) -> float:
-    """Canonical metric on tangent vectors: Tr(y1^T (I - X X^T / 2) y2)."""
-    _check_base(y1.base, y2.base)
-    x = y1.base.x
-    return float(
-        np.vdot(y1.v, y2.v) - 0.5 * np.vdot(x.T @ y1.v, x.T @ y2.v)
-    )
-
-
 def dual_metric(w1: DualTangentVector, w2: DualTangentVector) -> float:
     """Induced inner product on dual vectors: Tr(w1^T (I + X X^T) w2)."""
     _check_base(w1.base, w2.base)
@@ -306,17 +274,6 @@ def dual_metric(w1: DualTangentVector, w2: DualTangentVector) -> float:
 def dual_norm(w: DualTangentVector) -> float:
     """Norm induced by ``dual_metric``."""
     return math.sqrt(dual_metric(w, w))
-
-
-def raise_indices(w: DualTangentVector) -> TangentVector:
-    """Index-raising isomorphism: W -> (I + X X^T) W."""
-    return TangentVector(w.w + w.base.x @ w.xtw, w.base)
-
-
-def lower_indices(v: TangentVector) -> DualTangentVector:
-    """Index-lowering isomorphism: V -> (I - X X^T / 2) V."""
-    x = v.base.x
-    return DualTangentVector(v.v - 0.5 * (x @ (x.T @ v.v)), v.base)
 
 
 def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
@@ -360,37 +317,6 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     if base.has_tiny:
         r[np.abs(r) < TINY] = 0.0
     return StiefelPoint._unchecked(r)
-
-
-def geodesic_retract(w: DualTangentVector, t: float) -> StiefelPoint:
-    """Exact geodesic of the canonical metric from X = ``w.base``:
-    X(t) = expm(t B) X with B = W X^T - X W^T.
-
-    B is skew with rank <= 2k and vanishes off span([X, W]), so the
-    exponential is computed on an orthonormal frame of that subspace:
-    expm(t B) X = X + Q (expm(t B~) - I) Q^T X with B~ = Q^T B Q of size
-    at most 2k x 2k. Imports ``scipy.linalg`` (for ``expm``) on first call:
-    the solvers never call this, so the package import does not pay for it.
-    """
-    import scipy.linalg
-
-    x = w.base.x
-    wm = w.w
-    # frame: X plus an orthonormal completion of W's component off X,
-    # re-projected once for safety before factoring
-    w_perp = wm - x @ w.xtw
-    w_perp -= x @ (x.T @ w_perp)
-    q2, r2 = np.linalg.qr(w_perp)
-    diag = np.abs(np.diag(r2))
-    keep = diag > 1e-13 * max(1.0, float(np.linalg.norm(wm)))
-    q = np.hstack((x, q2[:, keep]))
-    a = q.T @ wm
-    b = q.T @ x
-    bt = a @ b.T
-    bt = bt - bt.T
-    e = scipy.linalg.expm(t * bt)
-    np.fill_diagonal(e, np.diag(e) - 1.0)
-    return StiefelPoint._unchecked(x + q @ (e @ b))
 
 
 def _inverse_factor(base: StiefelPoint, target: StiefelPoint) -> tuple[np.ndarray, np.ndarray]:

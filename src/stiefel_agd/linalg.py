@@ -30,7 +30,7 @@ def _load_flapack():
     importing ``scipy`` or ``scipy.linalg``.
 
     The module is registered under its own name in ``sys.modules``, so a
-    later ``import scipy.linalg`` reuses it: ``scipy.linalg.lapack.dgesv``
+    later import of ``scipy.linalg`` reuses it: ``scipy.linalg.lapack.dgesv``
     is then the very function object this module calls. Raises ImportError
     naming the directory searched when the extension is not there.
     """

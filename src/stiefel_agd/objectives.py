@@ -28,7 +28,7 @@ from .geometry import DualTangentVector, StiefelPoint, project_dual
 from .linalg import as_matrix, as_vector, read_only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumInfo:
     """Ascending eigenvalues of the symmetric operator."""
 
@@ -45,7 +45,7 @@ class SpectrumInfo:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalOperator:
     """Diagonal symmetric operator; the fast path used in the experiments.
     ``apply`` multiplies by an n x k tile of the values, cached per k: the
@@ -69,7 +69,7 @@ class DiagonalOperator:
         return tile * x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Dense symmetric operator (symmetry checked on construction)."""
 
@@ -108,7 +108,7 @@ def _as_weights(weights) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
     """A weighted quadratic objective: symmetric operator plus weights.
 

@@ -35,6 +35,10 @@ from stiefel_agd.objectives import DiagonalOperator, ObjectiveSpec  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# test modules import the oracles of tests/reference.py as ``reference``,
+# which only the default ("prepend") import mode puts on sys.path
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
 settings.register_profile(
     "stiefel-agd", derandomize=True, database=None, deadline=None
 )

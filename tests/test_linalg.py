@@ -16,7 +16,7 @@ from stiefel_agd.errors import (
 )
 from stiefel_agd.linalg import as_matrix, as_vector, qr_thin, solve_square
 
-from jacobi import jacobi_eigh
+from reference import jacobi_eigh
 
 
 class TestSolveSquare:

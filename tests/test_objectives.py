@@ -26,7 +26,7 @@ from stiefel_agd.objectives import (
     sphere_condition_number,
 )
 
-from jacobi import jacobi_eigh
+from reference import jacobi_eigh
 
 
 def fd_directional(spec, x, d, h=1e-5):
@@ -226,6 +226,21 @@ class TestCallerArrays:
         assert a.flags.writeable
         a[0, 0] = 100.0
         assert operator.a[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SpectrumInfo(np.arange(1.0, 6.0)),
+    lambda: DiagonalOperator(np.arange(1.0, 6.0)),
+    lambda: DenseOperator(np.diag(np.arange(1.0, 6.0))),
+    lambda: make_objective(SpectrumInfo(np.arange(1.0, 6.0)), [1.0, 2.0]),
+], ids=["spectrum", "diagonal", "dense", "objective"])
+def test_identity_equality_and_hash(make):
+    # array fields cannot be compared by value, so objects compare and
+    # hash by identity, as geometry's types do
+    a, b = make(), make()
+    assert a == a
+    assert a != b
+    assert len({a, a}) == 1
 
 
 class TestConditionNumbers:

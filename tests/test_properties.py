@@ -19,13 +19,14 @@ from stiefel_agd.geometry import (
     StiefelPoint,
     cayley_retract,
     dual_norm,
-    geodesic_retract,
     lerp,
     project_dual,
     random_point,
     retract_inverse,
 )
 from stiefel_agd.linalg import qr_thin, solve_square
+
+from reference import geodesic_retract
 
 
 @st.composite
