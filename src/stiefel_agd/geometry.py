@@ -33,6 +33,16 @@ layout, so the bits do not change. At k = 1 the product is a
 matrix-vector product that the layout does not speed up, and [W, X] stays
 C-ordered.
 
+A point's ``xtx``, ``orth_error`` and ``has_tiny`` and a vector's ``wx``
+and ``pencil`` are made on first read and kept in the instance's
+``__dict__`` by ``_cached``, a lock-free ``functools.cached_property``;
+later reads are plain attribute lookups. Identity matrices come from
+``linalg.identity``, one read-only array per size, and the pencil's fixed
+part (its identity blocks, where the other blocks go and their signs) from
+``_pencil_layout``, once per rank k. The two Frobenius norms of the checks
+are ``linalg.frobenius``, numpy's own 2-D ``norm`` path with the same
+bits.
+
 Subnormal floats are kept out of the trial arithmetic. On a diagonal
 operator the rows of X off the answer's support decay geometrically, and
 a long gradient-descent run would otherwise compute with numbers below
@@ -58,9 +68,9 @@ from k x k blocks without forming V.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +79,7 @@ from .errors import (
     RetractionFailedError,
     SingularMatrixError,
 )
-from .linalg import as_matrix, qr_thin, read_only, solve_square
+from .linalg import as_matrix, frobenius, identity, qr_thin, read_only, solve_square
 
 #: sqrt(smallest normal float64) = 2^-511 ~ 1.49e-154. A Cayley retraction
 #: from a base with an entry below it sets its output's entries below it
@@ -83,6 +93,27 @@ TINY = math.sqrt(np.finfo(np.float64).smallest_normal)
 #: from most random starts (skew up to 3.8e-8). Scaling it by that size is
 #: ROADMAP item 1.
 INVARIANT_TOL = 1e-8
+
+
+class _cached:
+    """A method read as an attribute, computed on first read and stored in
+    the instance's ``__dict__``, where later reads find it without calling
+    this descriptor: ``functools.cached_property`` without the lock it takes
+    on every first read before Python 3.12. A concurrent first read may
+    compute the value twice; both results are equal."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,20 +147,20 @@ class StiefelPoint:
         """Wrap ``x``, a fresh C-ordered n x k array no one else holds, as
         a read-only point without copying or checking it."""
         p = object.__new__(cls)
-        object.__setattr__(p, "x", read_only(x))
+        p.__dict__["x"] = read_only(x)
         return p
 
-    @cached_property
+    @_cached
     def xtx(self) -> np.ndarray:
         return read_only(self.x.T @ self.x)
 
-    @cached_property
+    @_cached
     def has_tiny(self) -> bool:
         return bool(np.abs(self.x).min() < TINY)
 
-    @cached_property
+    @_cached
     def orth_error(self) -> float:
-        err = float(np.linalg.norm(self.xtx - np.eye(self.k)))
+        err = frobenius(self.xtx - identity(self.x.shape[1]))
         if not err <= INVARIANT_TOL:
             raise ValueError(
                 f"columns are not orthonormal: ||x^T x - I||_F = {err:.3e}"
@@ -165,7 +196,7 @@ def _check_tangent(a: np.ndarray, base: StiefelPoint, space: str) -> np.ndarray:
     """The read-only x^T a; raises ValueError unless a is in the (dual)
     tangent space at ``base``, as any NaN or inf entry makes it not."""
     xta = base.x.T @ a
-    skew = np.linalg.norm(xta + xta.T)
+    skew = frobenius(xta + xta.T)
     if not skew <= INVARIANT_TOL:
         if not math.isfinite(skew):
             raise ValueError(f"{space} vector contains non-finite entries")
@@ -200,12 +231,11 @@ class DualTangentVector:
         a read-only vector at ``base``: no copy and no finiteness scan, but
         the skew check and its x^T w, as in the constructor."""
         v = object.__new__(cls)
-        object.__setattr__(v, "w", read_only(w))
-        object.__setattr__(v, "base", base)
-        object.__setattr__(v, "xtw", _check_tangent(w, base, "dual tangent"))
+        v.__dict__.update(w=read_only(w), base=base,
+                          xtw=_check_tangent(w, base, "dual tangent"))
         return v
 
-    @cached_property
+    @_cached
     def wx(self) -> np.ndarray:
         x = self.base.x
         k = x.shape[1]
@@ -214,7 +244,7 @@ class DualTangentVector:
         wx[:, k:] = x
         return read_only(wx)
 
-    @cached_property
+    @_cached
     def pencil(self) -> np.ndarray:
         """P0, P1, P2 stacked (3 x 2k x 3k): the Cayley system
         [I - Z^T U | Z^T X] of the step scale * w is P0 + h P1 + h^2 P2
@@ -223,18 +253,34 @@ class DualTangentVector:
             [[I - h B, -Q,      Q     ],
              [h^2 G,   I + h B^T, -h B^T]]
 
-        with Q = x^T x, B = x^T w and G = w^T w."""
-        k = self.base.k
-        q, b = self.base.xtx, self.xtw
-        p = np.zeros((3, 2 * k, 3 * k))
-        p[0, :, : 2 * k] = np.eye(2 * k)
-        p[0, :k, k : 2 * k] = -q
-        p[0, :k, 2 * k :] = q
-        p[1, :k, :k] = -b
-        p[1, k:, k : 2 * k] = b.T
-        p[1, k:, 2 * k :] = -b.T
-        p[2, k:, :k] = self.w.T @ self.w
+        with Q = x^T x, B = x^T w and G = w^T w: a copy of
+        ``_pencil_layout``'s identity blocks, with the other six blocks
+        put in one call."""
+        eyes, where, signs = _pencil_layout(self.w.shape[1])
+        b = self.xtw
+        blocks = np.array([self.base.xtx, self.base.xtx, b, b.T, b.T,
+                           self.w.T @ self.w])
+        blocks *= signs
+        p = eyes.copy()
+        p.put(where, blocks)
         return read_only(p)
+
+
+@functools.cache
+def _pencil_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed part of the 3 x 2k x 3k Cayley pencil at rank k: the
+    array holding only its identity blocks, the flat indices of its
+    blocks -Q, Q, -B, B^T, -B^T and G (each k x k, row-major, in that
+    order) and the signs (6 x 1 x 1) that make Q, Q, B, B^T, B^T, G those
+    blocks; -1.0 * v is -v exactly. All read-only and shared."""
+    eyes = np.zeros((3, 2 * k, 3 * k))
+    eyes[0, :, : 2 * k] = identity(2 * k)
+    flat = np.arange(eyes.size).reshape(eyes.shape)
+    where = np.array([flat[0, :k, k : 2 * k], flat[0, :k, 2 * k :],
+                      flat[1, :k, :k], flat[1, k:, k : 2 * k],
+                      flat[1, k:, 2 * k :], flat[2, k:, :k]])
+    signs = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[:, None, None]
+    return read_only(eyes), read_only(where), read_only(signs)
 
 
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
@@ -297,7 +343,7 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     base = w.base
     if scale == 0.0:
         return base
-    k = base.k
+    k = w.w.shape[1]
     h = 0.5 * scale
     p0, p1, p2 = w.pencil
     system = p2 * h
@@ -310,13 +356,17 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
         raise RetractionFailedError(
             f"Cayley solve failed at step scale {scale!r}: {exc}"
         ) from exc
-    s[:k] *= scale
-    s[k:] *= 2.0
+    s *= np.array([scale] * k + [2.0] * k)[:, None]
     r = w.wx @ s
     r += base.x
     if base.has_tiny:
-        r[np.abs(r) < TINY] = 0.0
+        _snap_tiny(r)
     return StiefelPoint._unchecked(r)
+
+
+def _snap_tiny(r: np.ndarray) -> None:
+    """Set every entry of ``r`` with |r| < ``TINY`` to +0.0, in place."""
+    np.putmask(r, np.abs(r) < TINY, 0.0)
 
 
 def _inverse_factor(base: StiefelPoint, target: StiefelPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +376,7 @@ def _inverse_factor(base: StiefelPoint, target: StiefelPoint) -> tuple[np.ndarra
     x, y = base.x, target.x
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    eye = np.eye(base.k)
+    eye = identity(x.shape[1])
     xty = x.T @ y
     try:
         return xty, 2.0 * solve_square(eye + xty, eye)

@@ -3,6 +3,8 @@
 Matrices are 2-D float64 numpy arrays in row-major (C) order throughout the
 package. ``as_matrix`` and ``as_vector`` turn caller input into checked,
 read-only copies; ``read_only`` is the one place an array is frozen.
+``identity`` and ``frobenius`` are ``np.eye`` and ``np.linalg.norm``
+without their per-call cost, for the small matrices of every pass.
 ``qr_thin`` calls numpy's QR. ``solve_square`` calls LAPACK ``dgesv`` from
 scipy's compiled LAPACK module, which ``_load_flapack`` loads without
 running the ``scipy.linalg`` package import: that import costs more than
@@ -12,6 +14,7 @@ one routine is all the solvers use of it.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -84,8 +87,23 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
 
 def read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only in place and return it."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
+
+
+@functools.cache
+def identity(k: int) -> np.ndarray:
+    """The read-only k x k identity, one array per size shared by every
+    caller (``np.eye`` costs more than the k x k arithmetic it feeds)."""
+    return read_only(np.eye(k))
+
+
+def frobenius(a: np.ndarray) -> float:
+    """||a||_F, bit for bit ``np.linalg.norm(a)``: its own 2-D path (ravel
+    in memory order, one dot product, sqrt) without its dispatch. NaN or
+    inf for non-finite input."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def solve_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -141,13 +141,14 @@ class ObjectiveSpec:
 
     def _evaluate(self, x: StiefelPoint) -> tuple[np.ndarray, float]:
         """A X and the objective value; one operator application."""
-        if x.n != self.n or x.k != self.k:
+        a = x.x
+        if a.shape != self._weight_tile.shape:  # (n, k)
             raise ValueError(
-                f"point shape ({x.n}, {x.k}) does not match objective "
+                f"point shape {a.shape} does not match objective "
                 f"({self.n}, {self.k})"
             )
-        ax = self.operator.apply(x.x)
-        return ax, 0.5 * float(np.einsum("ij,ij,j->", x.x, ax, self.weights))
+        ax = self.operator.apply(a)
+        return ax, 0.5 * float(np.einsum("ij,ij,j->", a, ax, self.weights))
 
     def value(self, x: StiefelPoint) -> float:
         """Objective value; one operator application."""

@@ -4,14 +4,19 @@ Shapes cover k = 1, k = n, n = 1 and k = n - 1. The conditioning bound
 cond(I + X^T Y) <= 2 / sqrt(3 - ||X - Y||_F^2) is checked on Cayley steps
 pushed until ||X - Y||_F^2 is just below 3. Bases whose trailing rows are
 about 2^-600 check that no Cayley output holds an entry in (0, TINY).
+The helpers that stand in for numpy calls on every pass (the Frobenius
+norm, the shared identity, the cached attribute and the subnormal snap)
+are checked against the calls they replace, bit for bit.
 """
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stiefel_agd import geometry
 from stiefel_agd.geometry import (
@@ -24,7 +29,7 @@ from stiefel_agd.geometry import (
     random_point,
     retract_inverse,
 )
-from stiefel_agd.linalg import qr_thin, solve_square
+from stiefel_agd.linalg import frobenius, identity, qr_thin, solve_square
 
 from reference import geodesic_retract
 
@@ -222,3 +227,97 @@ def test_a_caller_built_point_keeps_its_tiny_entries(pw):
     assert np.array_equal(copy.x, x.x) and copy.has_tiny
     cayley_retract(w, 1.0)
     assert not outside_the_gap(x.x)
+
+
+@st.composite
+def edge_shaped(draw, elements):
+    """An n x k array on an edge shape (k = 1, k = n - 1 or k = n) with
+    entries drawn from ``elements``."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from(sorted({1, max(n - 1, 1), n})))
+    return draw(hnp.arrays(np.float64, (n, k), elements=elements))
+
+
+def same_float(a: float, b: float) -> bool:
+    """Bit-equal, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(edge_shaped(ANY_FLOAT))
+@example(np.arange(1.0, 10.0).reshape(9, 1))  # k = 1
+@example(np.random.default_rng(0).standard_normal((6, 6)))  # k = n
+@example(np.array([[-3.0]]))  # n = 1
+@example(np.array([[1.0, np.inf], [0.5, 2.0]]))
+@example(np.array([[np.nan], [1.0]]))
+def test_frobenius_is_numpys_norm_bit_for_bit(a):
+    # both warn alike when a square overflows; the bits are the question
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layout in (a, np.asfortranarray(a), a[::2], a.T):
+            assert same_float(frobenius(layout), float(np.linalg.norm(layout)))
+        if not np.isfinite(a).all():
+            assert not math.isfinite(frobenius(a))
+
+
+@given(st.integers(1, 24))
+@example(1)
+@example(20)
+def test_identity_is_shared_and_read_only(k):
+    eye = identity(k)
+    assert eye is identity(k)
+    assert eye.dtype == np.float64 and np.array_equal(eye, np.eye(k))
+    assert not eye.flags.writeable
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
+
+
+CACHED = {StiefelPoint: ("xtx", "has_tiny", "orth_error"),
+          geometry.DualTangentVector: ("wx", "pencil")}
+
+
+@given(point_and_direction())
+@example(unit_direction(1, 1, 0))
+@example(unit_direction(9, 1, 1))
+@example(unit_direction(6, 6, 2))
+def test_cached_attributes_are_computed_once_into_the_instance(pw):
+    x, w = pw
+    # fresh objects: the constructor and the checks read some of them
+    x = StiefelPoint._unchecked(x.x.copy())
+    w = geometry.DualTangentVector._fresh(w.w.copy(), x)
+    for obj in (x, w):
+        for name in CACHED[type(obj)]:
+            descriptor = type(obj).__dict__[name]
+            assert isinstance(descriptor, geometry._cached)
+            assert name not in vars(obj)
+            with mock.patch.object(descriptor, "func",
+                                   wraps=descriptor.func) as func:
+                value = getattr(obj, name)
+                assert getattr(obj, name) is value
+            func.assert_called_once_with(obj)
+            assert vars(obj)[name] is value
+
+
+SNAP_FLOATS = st.one_of(
+    st.floats(-4.0 * TINY, 4.0 * TINY),
+    st.sampled_from([0.0, -0.0, TINY, -TINY, np.nextafter(TINY, 0.0),
+                     -np.nextafter(TINY, 0.0), 5e-324, -5e-324]),
+    ANY_FLOAT,
+)
+
+
+@given(edge_shaped(SNAP_FLOATS))
+@example(np.full((9, 1), -0.5 * TINY))  # k = 1
+@example(np.diag([TINY, -TINY, 1.0, -1e-300, 0.0, -0.0]))  # k = n
+@example(np.array([[-5e-324]]))  # n = 1
+def test_snap_is_the_masked_store_bit_for_bit(a):
+    want = a.copy()
+    want[np.abs(want) < TINY] = 0.0
+    got = a.copy()
+    geometry._snap_tiny(got)
+    assert got.tobytes() == want.tobytes()
+    snapped = np.abs(a) < TINY
+    assert not np.signbit(got[snapped]).any()  # +0.0, also for -tiny

@@ -34,7 +34,7 @@ import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = [(316, 10), (1000, 10), (1000, 1)]
+SIZES = [(316, 10), (1000, 10), (1000, 1), (316, 1), (100, 1)]
 NUMBER = 1000  # calls per timed run
 REPEAT = 5  # timed runs per call; the best is kept
 
