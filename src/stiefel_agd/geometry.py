@@ -245,10 +245,10 @@ class DualTangentVector:
         return read_only(wx)
 
     @_cached
-    def pencil(self) -> np.ndarray:
-        """P0, P1, P2 stacked (3 x 2k x 3k): the Cayley system
-        [I - Z^T U | Z^T X] of the step scale * w is P0 + h P1 + h^2 P2
-        with h = scale / 2, that is
+    def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """P0, P1, P2 (each 2k x 3k, read-only views of one array): the
+        Cayley system [I - Z^T U | Z^T X] of the step scale * w is
+        P0 + h P1 + h^2 P2 with h = scale / 2, that is
 
             [[I - h B, -Q,      Q     ],
              [h^2 G,   I + h B^T, -h B^T]]
@@ -263,7 +263,7 @@ class DualTangentVector:
         blocks *= signs
         p = eyes.copy()
         p.put(where, blocks)
-        return read_only(p)
+        return tuple(read_only(p))
 
 
 @functools.cache

@@ -10,6 +10,13 @@ smallest eigenvalue. k = 1 with alpha = (1,) is the Rayleigh quotient on
 the sphere. The strictly increasing weights pin the minimizer to actual
 eigenvectors instead of an orthogonal mixture of them.
 
+The value is read from the Euclidean gradient G = A X diag(alpha) that
+the gradient needs anyway, as f = <X, G> / 2 in one BLAS dot. The
+function restart compares f with decreases as small as
+c_R gamma ||grad f||^2, so its rounding matters: with the OpenBLAS that
+numpy bundles, the dot's relative error at random points of size
+316 x 10 and 1000 x 10 stayed below eps.
+
 This module also provides the condition number of the cost's Hessian at
 the minimizer as a function of the spectrum and weights, the weights that
 minimize that condition number, and the exact minimum value used as an
@@ -112,10 +119,12 @@ def _as_weights(weights) -> np.ndarray:
 class ObjectiveSpec:
     """A weighted quadratic objective: symmetric operator plus weights.
 
-    ``value`` keeps the point, A X and f of its last call, which
-    ``value_and_gradient`` reuses when handed that same point object (in
-    gradient descent, the accepted trial). The gradient multiplies A X by
-    an n x k tile of the weights, built once, like the diagonal operator.
+    ``value`` forms the Euclidean gradient G = A X diag(alpha), multiplying
+    A X by an n x k tile of the weights built once, like the diagonal
+    operator, and returns f = <X, G> / 2. It keeps the point, G and f of
+    its last call, which ``value_and_gradient`` reuses when handed that
+    same point object (in gradient descent, the accepted trial): the
+    gradient there applies nothing and only projects G.
     """
 
     operator: DiagonalOperator | DenseOperator
@@ -140,20 +149,21 @@ class ObjectiveSpec:
         return self.weights.size
 
     def _evaluate(self, x: StiefelPoint) -> tuple[np.ndarray, float]:
-        """A X and the objective value; one operator application."""
+        """The Euclidean gradient G = A X diag(alpha) and the objective
+        value <X, G> / 2; one operator application."""
         a = x.x
         if a.shape != self._weight_tile.shape:  # (n, k)
             raise ValueError(
                 f"point shape {a.shape} does not match objective "
                 f"({self.n}, {self.k})"
             )
-        ax = self.operator.apply(a)
-        return ax, 0.5 * float(np.einsum("ij,ij,j->", a, ax, self.weights))
+        g = self.operator.apply(a) * self._weight_tile
+        return g, 0.5 * float(np.vdot(a, g))
 
     def value(self, x: StiefelPoint) -> float:
         """Objective value; one operator application."""
-        ax, value = self._evaluate(x)
-        object.__setattr__(self, "_last", (x, ax, value))
+        g, value = self._evaluate(x)
+        object.__setattr__(self, "_last", (x, g, value))
         return value
 
     def value_and_gradient(self, x: StiefelPoint) -> EvalResult:
@@ -166,10 +176,10 @@ class ObjectiveSpec:
         """
         last = self._last
         if last is not None and last[0] is x:
-            _, ax, value = last
+            _, g, value = last
         else:
-            ax, value = self._evaluate(x)
-        return EvalResult(value, project_dual(x, ax * self._weight_tile))
+            g, value = self._evaluate(x)
+        return EvalResult(value, project_dual(x, g))
 
 
 def sphere_condition_number(spectrum: SpectrumInfo) -> float:

@@ -136,9 +136,9 @@ class RunTrace:
     ``g_evals`` counts ``value_and_gradient`` calls, one at the top of each
     pass: at x0 first, then at each look-ahead point. A gradient at the
     point the last trial valued (the new iterate, in gradient descent)
-    reuses that trial's A X, so ``f_evals + g_evals`` (perfbench's
-    ``operator_applies``) counts evaluation calls, not operator
-    applications.
+    reuses that trial's Euclidean gradient, so ``f_evals + g_evals``
+    (perfbench's ``operator_applies``) counts evaluation calls, not
+    operator applications.
     """
 
     records: list[IterationRecord] = field(default_factory=list)

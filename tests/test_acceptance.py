@@ -301,8 +301,8 @@ def _check_scaling_criterion(criterion, result):
         "these problem sizes. It is set mostly by where gamma0 = 0.1 falls "
         "on the line search's step grid gamma0 * 1.7^m: rescaling the "
         "operator by 1.7^(j/4), which moves gamma0 across one grid step, "
-        "gives GD slopes of 0.815, 0.704, 1.284 and 0.910 for j = 0..3 "
-        "(ROADMAP item 6)"
+        "gave GD slopes of 0.815, 0.704, 1.284 and 0.910 for j = 0..3 "
+        "while f was summed term by term (ROADMAP item 6)"
     )
 
 

@@ -1,5 +1,8 @@
 import itertools
+import json
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -196,6 +199,40 @@ class TestEvaluationReuse:
         spec.value_and_gradient(p)
         spec.value_and_gradient(p)  # a gradient does not take the slot
         assert operator.calls == 4
+
+
+#: the same-bits record names the numpy BLAS build the accuracy below was
+#: measured with
+RECORD = Path(__file__).resolve().parent / "golden" / "same_bits.json"
+
+
+def numpy_blas() -> str:
+    dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{dep['name']} {dep['version']}"
+
+
+@pytest.mark.parametrize("n, k", [(316, 10), (1000, 10), (1000, 1)])
+def test_value_is_within_two_eps_of_a_40_digit_sum(n, k):
+    # the function restart reads the last digits of f. How a BLAS dot
+    # orders its sum depends on the build and the kernel it picks for the
+    # CPU, so the bound holds for the recorded build only
+    recorded = json.loads(RECORD.read_text())["build"]["numpy_blas"]
+    here = numpy_blas()
+    if here != recorded:
+        pytest.skip(f"numpy links {here}; the bound was measured with {recorded}")
+    spec = make_objective(parse_spectrum(f"linear:{n}"), np.arange(1.0, k + 1.0))
+    lam = [mpmath.mpf(v) for v in spec.operator.values]
+    alpha = [mpmath.mpf(v) for v in spec.weights]
+    eps = np.finfo(np.float64).eps
+    for seed in range(8):
+        x = random_point(n, k, seed)
+        with mpmath.workdps(40):
+            exact = mpmath.fsum(
+                alpha[j] * lam[i] * mpmath.mpf(v) ** 2
+                for (i, j), v in np.ndenumerate(x.x)
+            ) / 2
+            err = abs((spec.value(x) - exact) / exact)
+        assert err <= 2 * eps, (here, seed, float(err) / eps)
 
 
 class TestCallerArrays:

@@ -74,12 +74,14 @@ def test_cached_blocks_are_exact_and_read_only(pw):
     expected = {
         "xtw": xtw,
         "wx": np.concatenate((w.w, x.x), axis=1),
-        "pencil": pencil,
+        "pencil": tuple(pencil),  # P0, P1, P2
     }
     for name, block in expected.items():
         cached = getattr(w, name)
+        assert type(cached) is type(block), name
         assert np.array_equal(cached, block), name
-        assert not cached.flags.writeable, name
+        for part in cached if isinstance(cached, tuple) else (cached,):
+            assert not part.flags.writeable, name
         assert getattr(w, name) is cached, name
 
 

@@ -5,6 +5,8 @@
 For each size n x k in ``SIZES``, on the Brockett cost with eigenvalues
 1..n and weights 1..k at ``random_point(n, k, 0)``, times
 
+  * ``value``: the value at a line-search trial point on its own (the
+    operator product, the weight tile and the dot);
   * ``trial_and_gradient``: a further line-search trial (the Cayley step
     along the gradient, after one call has built its pencil, and the
     value at the new point) followed by ``value_and_gradient`` at that
@@ -62,6 +64,9 @@ def calls(n: int, k: int) -> dict:
         objective.value(trial)
         objective.value_and_gradient(trial)
 
+    def value():
+        objective.value(target)
+
     def value_and_gradient():
         objective.value_and_gradient(x)
 
@@ -69,6 +74,7 @@ def calls(n: int, k: int) -> dict:
         lerp(x, target, 1.5).orth_error
 
     found = {
+        "value": value,
         "trial_and_gradient": trial_and_gradient,
         "trial_and_gradient_tiny": lambda: trial_and_gradient(tiny_grad),
         "value_and_gradient": value_and_gradient,
