@@ -31,6 +31,7 @@ from .objectives import (
     EvalResult,
     ObjectiveSpec,
     SpectrumInfo,
+    ValueRecord,
     brockett_condition_number,
     known_minimum,
     make_objective,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +100,14 @@ class DenseOperator:
         return self.a @ x
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class ValueRecord(NamedTuple):
+    """f and the Euclidean gradient G = A X diag(alpha) at one point."""
+
+    value: float
+    egrad: np.ndarray
+
+
+class EvalResult(NamedTuple):
     """Value and dual-tangent gradient at a point."""
 
     value: float
@@ -121,16 +128,14 @@ class ObjectiveSpec:
 
     ``value`` forms the Euclidean gradient G = A X diag(alpha), multiplying
     A X by an n x k tile of the weights built once, like the diagonal
-    operator, and returns f = <X, G> / 2. It keeps the point, G and f of
-    its last call, which ``value_and_gradient`` reuses when handed that
-    same point object (in gradient descent, the accepted trial): the
-    gradient there applies nothing and only projects G.
+    operator, and returns f = <X, G> / 2 and G as a ``ValueRecord``;
+    ``value_and_gradient`` handed that record for the same point applies
+    nothing and only projects G. No field changes after construction.
     """
 
     operator: DiagonalOperator | DenseOperator
     weights: np.ndarray
     _weight_tile: np.ndarray = field(init=False, repr=False, compare=False)
-    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = _as_weights(self.weights)
@@ -148,9 +153,9 @@ class ObjectiveSpec:
     def k(self) -> int:
         return self.weights.size
 
-    def _evaluate(self, x: StiefelPoint) -> tuple[np.ndarray, float]:
-        """The Euclidean gradient G = A X diag(alpha) and the objective
-        value <X, G> / 2; one operator application."""
+    def value(self, x: StiefelPoint) -> ValueRecord:
+        """f and the Euclidean gradient G = A X diag(alpha) at ``x``; one
+        operator application."""
         a = x.x
         if a.shape != self._weight_tile.shape:  # (n, k)
             raise ValueError(
@@ -158,27 +163,19 @@ class ObjectiveSpec:
                 f"({self.n}, {self.k})"
             )
         g = self.operator.apply(a) * self._weight_tile
-        return g, 0.5 * float(np.vdot(a, g))
+        return ValueRecord(0.5 * float(np.vdot(a, g)), g)
 
-    def value(self, x: StiefelPoint) -> float:
-        """Objective value; one operator application."""
-        g, value = self._evaluate(x)
-        object.__setattr__(self, "_last", (x, g, value))
-        return value
+    _evaluate = value  # value_and_gradient's entry, untouched when ``value`` is wrapped
 
-    def value_and_gradient(self, x: StiefelPoint) -> EvalResult:
+    def value_and_gradient(self, x: StiefelPoint, known: ValueRecord | None = None) -> EvalResult:
         """Value and dual-tangent gradient; one operator application, none
-        if ``x`` is the point of the last ``value`` call.
+        if ``known`` is given: the record ``value(x)`` returned.
 
         The Euclidean gradient of the half-weighted quadratic is
         A X diag(alpha); the dual gradient is its projection onto the
         dual tangent space at X. Raises ValueError if it is not finite.
         """
-        last = self._last
-        if last is not None and last[0] is x:
-            _, g, value = last
-        else:
-            g, value = self._evaluate(x)
+        value, g = self._evaluate(x) if known is None else known
         return EvalResult(value, project_dual(x, g))
 
 
@@ -267,7 +264,7 @@ def parse_spectrum(text: str) -> SpectrumInfo:
     Forms:
         linear:N     eigenvalues 1, 2, ..., N
         quadratic:N  eigenvalues i^2/N for i = 1..N
-        file:PATH    newline-separated ascending reals
+        file:PATH    ascending reals, one per line
     """
     kind, sep, arg = text.partition(":")
     if not sep:
@@ -280,8 +277,13 @@ def parse_spectrum(text: str) -> SpectrumInfo:
         i = np.arange(1, n + 1, dtype=np.float64)
         return SpectrumInfo(i * i / n)
     if kind == "file":
-        values = np.loadtxt(Path(arg), dtype=np.float64, ndmin=1)
-        return SpectrumInfo(values)
+        values = np.loadtxt(Path(arg), dtype=np.float64, ndmin=2)
+        if values.shape[1] != 1:
+            raise ValueError(
+                f"spectrum file {arg!r} must hold one value per line, "
+                f"got shape {values.shape}"
+            )
+        return SpectrumInfo(values[:, 0])
     raise ValueError(f"invalid spectrum specifier {text!r}: unknown kind {kind!r}")
 
 

@@ -64,6 +64,7 @@ from .geometry import (
     dual_norm,
     lerp,
 )
+from .objectives import ValueRecord
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -134,11 +135,10 @@ class RunTrace:
     of all passes, ``LINESEARCH_TRIALS`` for a search that failed; a trial
     whose Cayley solve failed counts although it evaluates nothing.
     ``g_evals`` counts ``value_and_gradient`` calls, one at the top of each
-    pass: at x0 first, then at each look-ahead point. A gradient at the
-    point the last trial valued (the new iterate, in gradient descent)
-    reuses that trial's Euclidean gradient, so ``f_evals + g_evals``
-    (perfbench's ``operator_applies``) counts evaluation calls, not
-    operator applications.
+    pass: at x0 first, then at each look-ahead point. A gradient at a point
+    a trial valued reuses its A X, so ``f_evals + g_evals`` (perfbench's
+    ``operator_applies``) exceeds the operator applications by the
+    gradient-descent gradients and the AGD restarts.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -169,17 +169,17 @@ def line_search(
     config: SolverConfig,
     f_y: float,
     grad_norm_sq: float,
-) -> tuple[float, StiefelPoint, float, int]:
+) -> tuple[float, StiefelPoint, ValueRecord, int]:
     """Two-sided Armijo line search along -grad f(y) from y = grad_y.base.
 
     ``f_y`` and ``grad_norm_sq`` are f(y) and ||grad f(y)||_{g*}^2 from
-    the caller's evaluation at y. Returns (gamma, x_next, f_next, trials)
-    with f_next <= f_y - (gamma/2) grad_norm_sq; each trial point costs
-    one objective value. A trial whose Cayley solve fails counts, with
-    f = +inf. Raises LineSearchFailedError when a trial is asked for after
-    ``LINESEARCH_TRIALS`` trials, and ValueError before any trial for a
-    zero, NaN or infinite ``grad_norm_sq`` or ``gamma_in`` or a NaN or
-    infinite ``f_y``.
+    the caller's evaluation at y. Returns (gamma, x_next, record, trials),
+    record = objective.value(x_next) with record.value <= f_y - (gamma/2)
+    grad_norm_sq; a trial point costs one objective value, and one whose
+    Cayley solve fails counts, with f = +inf. Raises LineSearchFailedError
+    when a trial is asked for after ``LINESEARCH_TRIALS`` trials, and
+    ValueError before any trial for a zero, NaN or infinite
+    ``grad_norm_sq`` or ``gamma_in`` or a NaN or infinite ``f_y``.
     """
     # each rule is a range that NaN and inf fall outside of
     if not 0.0 < grad_norm_sq < math.inf:
@@ -192,7 +192,7 @@ def line_search(
     gamma = gamma_in
     trials = 0
 
-    def trial(g: float) -> tuple[StiefelPoint | None, float]:
+    def trial(g: float) -> tuple[StiefelPoint | None, ValueRecord | None, float]:
         nonlocal trials
         if trials >= LINESEARCH_TRIALS:
             raise LineSearchFailedError(
@@ -202,20 +202,21 @@ def line_search(
         try:
             x = cayley_retract(grad_y, -g)
         except RetractionFailedError:
-            return None, float("inf")
-        return x, objective.value(x)
+            return None, None, math.inf
+        record = objective.value(x)
+        return x, record, record.value
 
-    x_next, f_next = trial(gamma)
+    x_next, record, f_next = trial(gamma)
     # grow while the decrease beats the stronger threshold
     while f_next < f_y - config.c_l * gamma * grad_norm_sq:
         gamma *= config.lambda_d
-        x_next, f_next = trial(gamma)
+        x_next, record, f_next = trial(gamma)
     # shrink until the Armijo 1/2 threshold holds (NaN-safe comparison)
     while not (f_next <= f_y - 0.5 * gamma * grad_norm_sq):
         gamma /= config.lambda_d
-        x_next, f_next = trial(gamma)
+        x_next, record, f_next = trial(gamma)
     assert x_next is not None
-    return gamma, x_next, f_next, trials
+    return gamma, x_next, record, trials
 
 
 def gradient_descent(objective, x0: StiefelPoint, config: SolverConfig) -> RunTrace:
@@ -241,13 +242,13 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
     start = time.perf_counter()
     trace = RunTrace(max_orth_drift=x0.orth_error)
     x = y = x0
+    known_x = known_y = None  # records of the trials that valued x and y
     gamma = config.gamma0
     k = 0
 
     while True:
-        res = objective.value_and_gradient(y)
+        f_y, grad_y = objective.value_and_gradient(y, known_y)
         trace.g_evals += 1
-        f_y, grad_y = res.value, res.grad
         gn_y = dual_norm(grad_y)
         if trace.g_evals == 1:
             f_x = trace.initial_value = f_y
@@ -261,7 +262,7 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
             break
         gn2 = gn_y * gn_y
         try:
-            gamma, x_next, f_next, trials = line_search(
+            gamma, x_next, known_next, trials = line_search(
                 objective, grad_y, gamma, config, f_y=f_y, grad_norm_sq=gn2
             )
         except LineSearchFailedError:
@@ -272,7 +273,7 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
 
         restarted = False
         if restart == "function":
-            restarted = f_next > f_x - config.c_r * gamma * gn2
+            restarted = known_next.value > f_x - config.c_r * gamma * gn2
         elif restart == "gradient" and y is not x:
             # at y = x the momentum is the zero vector and cannot oppose descent
             try:
@@ -283,18 +284,18 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
         applied_k = 0
         if restarted:
             # discard the candidate step; momentum resets
-            y, k = x, 0
+            y, known_y, k = x, known_x, 0
             trace.restarts += 1
         else:
-            y = x_next
+            y, known_y = x_next, known_next
             if restart is not None:
                 try:
-                    y = lerp(x, x_next, 1.0 + k / (k + 3.0))
+                    y, known_y = lerp(x, x_next, 1.0 + k / (k + 3.0)), None
                     applied_k, k = k, k + 1
                 except _MOMENTUM_FAILURES:
                     # keep the accepted step; momentum resets
                     k = 0
-            x, f_x = x_next, f_next
+            x, known_x, f_x = x_next, known_next, known_next.value
             trace.iterations += 1
             trace.max_orth_drift = max(
                 trace.max_orth_drift, x.orth_error, y.orth_error

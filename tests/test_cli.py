@@ -201,6 +201,14 @@ class TestErrorBoundary:
         assert str(path) in err
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_multi_column_spectrum_file(self, command, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("1 2\n3 4\n5 6\n")
+        argv = ["solve"] if command == "solve" else ["scaling", "--n-values", "6"]
+        err = self.exit_2(argv + ["--spectrum", f"file:{path}"], capsys)
+        assert "got shape (3, 2)" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_out_into_missing_directory(self, command, tmp_path, monkeypatch,
                                         capsys):
         def unreachable(objective, x0, config):

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from stiefel_agd.bench import SOLVERS
 from stiefel_agd.errors import DegenerateSpectrumError, NotSymmetricError
 from stiefel_agd.geometry import (
     StiefelPoint,
@@ -28,14 +29,15 @@ from stiefel_agd.objectives import (
     parse_spectrum,
     sphere_condition_number,
 )
+from stiefel_agd.solvers import CONVERGED, SolverConfig
 
 from reference import jacobi_eigh
 
 
 def fd_directional(spec, x, d, h=1e-5):
     """Central finite difference of f along the retraction curve of d."""
-    fp = spec.value(cayley_retract(d, h))
-    fm = spec.value(cayley_retract(d, -h))
+    fp = spec.value(cayley_retract(d, h)).value
+    fm = spec.value(cayley_retract(d, -h)).value
     return (fp - fm) / (2.0 * h)
 
 
@@ -169,36 +171,31 @@ class TestNonFiniteGradient:
 
 
 class TestEvaluationReuse:
-    """A gradient at the point ``value`` saw last reuses its A X."""
+    """An evaluation travels with its point: ``value_and_gradient`` handed
+    the record ``value`` returned applies nothing, and the objective keeps
+    no state between calls."""
 
-    def test_same_point_object_applies_once(self, counted_objective):
+    def test_a_known_record_applies_nothing_more(self, counted_objective):
         spec, operator = counted_objective(20, 3)
         p = random_point(20, 3, 1)
-        f = spec.value(p)
-        res = spec.value_and_gradient(p)
+        record = spec.value(p)
         assert operator.calls == 1
-        fresh = make_objective(SpectrumInfo(np.arange(1.0, 21.0)), [1.0, 2.0, 3.0])
-        ref = fresh.value_and_gradient(p)
-        assert res.value == f == ref.value
+        res = spec.value_and_gradient(p, record)
+        assert operator.calls == 1
+        ref = spec.value_and_gradient(p)
+        assert operator.calls == 2
+        assert res.value == record.value == ref.value
         assert np.array_equal(res.grad.w, ref.grad.w)
 
-    def test_equal_array_in_another_point_applies_again(self, counted_objective):
-        spec, operator = counted_objective(20, 3)
-        p = random_point(20, 3, 1)
-        f = spec.value(p)
-        res = spec.value_and_gradient(StiefelPoint(p.x.copy()))
-        assert operator.calls == 2
-        assert res.value == f
-        assert np.array_equal(res.grad.w, spec.value_and_gradient(p).grad.w)
-
-    def test_only_the_last_valued_point_is_reused(self, counted_objective):
-        spec, operator = counted_objective(20, 3)
-        p, q = random_point(20, 3, 1), random_point(20, 3, 2)
-        spec.value(p)
-        spec.value(q)
-        spec.value_and_gradient(p)
-        spec.value_and_gradient(p)  # a gradient does not take the slot
-        assert operator.calls == 4
+    @pytest.mark.parametrize("method", ["gd", "agd-function", "agd-gradient"])
+    def test_a_solve_changes_no_field_of_the_objective(self, method):
+        spec = make_objective(SpectrumInfo(np.arange(1.0, 21.0)), [1.0, 2.0, 3.0])
+        before = dict(vars(spec))
+        trace = SOLVERS[method](spec, random_point(20, 3, 1), SolverConfig())
+        assert trace.termination == CONVERGED
+        after = vars(spec)
+        assert after.keys() == before.keys()
+        assert all(after[name] is before[name] for name in before)
 
 
 #: the same-bits record names the numpy BLAS build the accuracy below was
@@ -231,7 +228,7 @@ def test_value_is_within_two_eps_of_a_40_digit_sum(n, k):
                 alpha[j] * lam[i] * mpmath.mpf(v) ** 2
                 for (i, j), v in np.ndenumerate(x.x)
             ) / 2
-            err = abs((spec.value(x) - exact) / exact)
+            err = abs((spec.value(x).value - exact) / exact)
         assert err <= 2 * eps, (here, seed, float(err) / eps)
 
 
@@ -444,3 +441,14 @@ class TestParseSpectrum:
         path.write_text("2.0\n1.0\n")
         with pytest.raises(ValueError):
             parse_spectrum(f"file:{path}")
+
+    @pytest.mark.parametrize("text, shape", [
+        ("1 2\n3 4\n5 6\n", (3, 2)), ("1 2 3\n", (1, 3)),
+    ], ids=["three-rows", "one-row"])
+    def test_multi_column_file_rejected(self, tmp_path, text, shape):
+        # one value per line; more columns are not read as more eigenvalues
+        path = tmp_path / "wide.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="one value per line") as exc:
+            parse_spectrum(f"file:{path}")
+        assert f"got shape {shape}" in str(exc.value)

@@ -21,6 +21,7 @@ from stiefel_agd.objectives import (
     DiagonalOperator,
     ObjectiveSpec,
     SpectrumInfo,
+    ValueRecord,
     known_minimum,
     make_objective,
     parse_spectrum,
@@ -97,7 +98,7 @@ class UnboundedBelow:
 
     def value(self, x):
         self.calls += 1
-        return -math.inf
+        return ValueRecord(-math.inf, None)
 
 
 def brockett_30_3_gradient():
@@ -121,21 +122,21 @@ class TestLineSearch:
         self.cfg = SolverConfig()
 
     def test_tiny_gamma_grows(self):
-        gamma, x_next, f_next, trials = line_search(
+        gamma, x_next, record, trials = line_search(
             self.obj, self.grad, 1e-6, self.cfg,
             f_y=self.f_y, grad_norm_sq=self.gn2,
         )
         assert gamma > 1e-6 * self.cfg.lambda_d * 0.999  # grew at least once
         assert trials >= 2
-        assert f_next <= self.f_y - 0.5 * gamma * self.gn2
+        assert record.value <= self.f_y - 0.5 * gamma * self.gn2
 
     def test_huge_gamma_shrinks(self):
-        gamma, x_next, f_next, trials = line_search(
+        gamma, x_next, record, trials = line_search(
             self.obj, self.grad, 1e6, self.cfg,
             f_y=self.f_y, grad_norm_sq=self.gn2,
         )
         assert gamma < 1e6
-        assert f_next <= self.f_y - 0.5 * gamma * self.gn2
+        assert record.value <= self.f_y - 0.5 * gamma * self.gn2
 
     def test_bracketed_gamma_unchanged(self):
         # find a step size already sitting strictly between the 1/2 and
@@ -143,7 +144,7 @@ class TestLineSearch:
         found = None
         for gamma in np.geomspace(1e-3, 10.0, 400):
             x = cayley_retract(self.grad, -gamma)
-            f = self.obj.value(x)
+            f = self.obj.value(x).value
             if (
                 f > self.f_y - self.cfg.c_l * gamma * self.gn2
                 and f < self.f_y - 0.5 * gamma * self.gn2
@@ -151,7 +152,7 @@ class TestLineSearch:
                 found = gamma
                 break
         assert found is not None
-        gamma, _, f_next, trials = line_search(
+        gamma, _, _, trials = line_search(
             self.obj, self.grad, found, self.cfg,
             f_y=self.f_y, grad_norm_sq=self.gn2,
         )
@@ -188,9 +189,9 @@ class TestLineSearch:
         class NanObjective:
             def value(self, x):
                 calls.append(x)
-                return math.nan
+                return ValueRecord(math.nan, None)
 
-            def value_and_gradient(self, x):
+            def value_and_gradient(self, x, known=None):
                 raise AssertionError("not used")
 
         with pytest.raises(LineSearchFailedError):
@@ -205,12 +206,12 @@ class TestLineSearch:
         # first shrunk step is accepted
         grad, f_y, gn2 = brockett_30_3_gradient()
         obj = UnboundedBelow()
-        gamma, _, f_next, trials = line_search(
+        gamma, _, record, trials = line_search(
             obj, grad, 0.1, self.cfg, f_y=f_y, grad_norm_sq=gn2
         )
         assert trials == 35 and obj.calls == 34
         assert gamma == pytest.approx(0.1 * 1.7**32)  # about 2.37e6
-        assert f_next == -math.inf
+        assert record.value == -math.inf
 
     @pytest.mark.parametrize("gamma_in", [1e-6, 1e6], ids=["grow", "shrink"])
     def test_a_rejected_trial_point_is_not_checked(self, monkeypatch, gamma_in):
@@ -228,12 +229,12 @@ class TestLineSearch:
             return r
 
         monkeypatch.setattr(solvers, "cayley_retract", retract)
-        gamma, x_next, f_next, trials = line_search(
+        gamma, x_next, record, trials = line_search(
             self.obj, self.grad, gamma_in, self.cfg,
             f_y=self.f_y, grad_norm_sq=self.gn2,
         )
         assert trials >= 2 and x_next is not first[0]
-        assert f_next <= self.f_y - 0.5 * gamma * self.gn2
+        assert record.value <= self.f_y - 0.5 * gamma * self.gn2
         assert x_next.orth_error <= 1e-15
         with pytest.raises(ValueError, match="columns are not orthonormal"):
             first[0].orth_error
@@ -384,8 +385,9 @@ class TestSubnormals:
 
 
 class TestOperatorApplications:
-    """A gradient at the point the line search valued last (the accepted
-    trial) reuses its A X; every other evaluation applies A once."""
+    """A gradient at a point a line-search trial valued (the accepted trial
+    in gradient descent, the iterate after an AGD restart) reuses that
+    trial's A X; every other evaluation applies A once."""
 
     @staticmethod
     def run(solver, counted_objective):
@@ -402,10 +404,37 @@ class TestOperatorApplications:
     @pytest.mark.parametrize("method", ["agd-function", "agd-gradient"])
     def test_momentum_methods_apply_once_per_evaluation(
             self, method, counted_objective):
-        # the look-ahead point comes from the extrapolation, never valued
+        # a look-ahead point comes from the extrapolation, never valued,
+        # but a restart's Y = X reuses the A X of the trial that became X
         trace, calls = self.run(SOLVERS[method], counted_objective)
-        assert trace.iterations > 0
-        assert calls == trace.f_evals + trace.g_evals
+        assert trace.iterations > 0 and trace.restarts > 0
+        assert calls == trace.f_evals + trace.g_evals - trace.restarts
+
+
+class TestClassLevelCounts:
+    """perfbench's tracer wraps ``value`` and ``value_and_gradient`` on
+    ``ObjectiveSpec`` and reads its calls as the run's f_evals and g_evals;
+    a gradient that went through ``value`` would count as a trial."""
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_wrapped_methods_count_f_evals_and_g_evals(self, monkeypatch, method):
+        calls = {"value": 0, "value_and_gradient": 0}
+
+        def counting(name):
+            original = getattr(ObjectiveSpec, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ObjectiveSpec, name, counting(name))
+        obj, _ = brockett_40_3()
+        trace = SOLVERS[method](obj, random_point(40, 3, 5), SolverConfig())
+        assert trace.termination == CONVERGED
+        assert calls == {"value": trace.f_evals, "value_and_gradient": trace.g_evals}
 
 
 class TestLineSearchFailureHandling:
@@ -418,9 +447,9 @@ class TestLineSearchFailureHandling:
             """Valid gradient at x0, NaN values everywhere."""
 
             def value(self, x):
-                return math.nan
+                return ValueRecord(math.nan, None)
 
-            def value_and_gradient(self, x):
+            def value_and_gradient(self, x, known=None):
                 return res0
 
         for solver in SOLVERS.values():
@@ -633,9 +662,9 @@ class TestAcceleratedSolvers:
                 calls["value"] += 1
                 return inner.value(x)
 
-            def value_and_gradient(self, x):
+            def value_and_gradient(self, x, known=None):
                 calls["grad"] += 1
-                return inner.value_and_gradient(x)
+                return inner.value_and_gradient(x, known)
 
         trace = SOLVERS[solver_name](Instrumented(), random_point(40, 1, 19),
                                      SolverConfig())

@@ -10,13 +10,13 @@ For each size n x k in ``SIZES``, on the Brockett cost with eigenvalues
   * ``trial_and_gradient``: a further line-search trial (the Cayley step
     along the gradient, after one call has built its pencil, and the
     value at the new point) followed by ``value_and_gradient`` at that
-    same point, as in a gradient-descent pass;
+    same point, handed the trial's record, as in a gradient-descent pass;
   * ``trial_and_gradient_tiny``: the same, from a point whose last n/2
     rows are about 2^-600 (the thin QR of a Gaussian matrix with those
     rows scaled), as the rows off the answer become in a long
     gradient-descent run;
-  * ``value_and_gradient``: the value and gradient at a point that is not
-    the last one valued;
+  * ``value_and_gradient``: the value and gradient at a point with no
+    record, which applies the operator;
   * ``lerp_and_check``: ``lerp`` through the point and a trial point with
     the momentum factor 1.5, and the orthonormality check of the result.
 
@@ -61,8 +61,7 @@ def calls(n: int, k: int) -> dict:
 
     def trial_and_gradient(grad=grad):
         trial = cayley_retract(grad, -0.01)
-        objective.value(trial)
-        objective.value_and_gradient(trial)
+        objective.value_and_gradient(trial, objective.value(trial))
 
     def value():
         objective.value(target)
@@ -82,7 +81,6 @@ def calls(n: int, k: int) -> dict:
     }
     for call in found.values():
         call()
-    objective.value(target)  # the last-valued point is not x
     return found
 
 
