@@ -88,8 +88,10 @@ class ExperimentSpec:
                 raise ValueError(f"unknown weights specifier {self.weights!r}")
         elif np.shape(self.weights) != (self.k,):
             raise ValueError(f"expected {self.k} weights, got {self.weights!r}")
-        if len(self.n_values) < 1 or list(self.n_values) != sorted(self.n_values):
-            raise ValueError("n_values must be non-empty and ascending")
+        n = self.n_values
+        if len(n) < 1 or not all(a < b for a, b in zip(n, n[1:])):
+            # a repeated size would repeat its rows: the same seeds and trials
+            raise ValueError("n_values must be non-empty and strictly ascending")
         if self.trials_per_n < 1:
             raise ValueError("trials_per_n must be >= 1")
         if not self.methods or any(m not in SOLVERS for m in self.methods):

@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="family (linear | quadratic) applied at each n")
     scaling.add_argument("--method", choices=METHODS + ("all",), default="all")
     scaling.add_argument("--n-values", type=_positive_int_list, required=True,
-                         help="comma-separated problem sizes, ascending")
+                         help="comma-separated problem sizes, strictly ascending")
     scaling.add_argument("--trials", type=int, default=10)
     scaling.add_argument("--format", choices=("csv", "json"), default="csv")
     scaling.set_defaults(func=_cmd_scaling, parser=scaling)

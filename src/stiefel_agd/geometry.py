@@ -60,10 +60,13 @@ stays zero, so a start whose component along the answer lies below
 
 The Cayley retraction is invertible in closed form: R(X, raise(V)) = Y is
 solved by V = 2 Y (I + X^T Y)^{-1} followed by projection onto the dual
-tangent space, which enables interpolation and extrapolation along the
-retraction curve through two points. Where only the pairing of a dual
-vector with that inverse is needed, ``dual_metric_inverse`` computes it
-from k x k blocks without forming V.
+tangent space (``retract_inverse``), which enables interpolation and
+extrapolation along the retraction curve through two points. The solvers
+never form V. ``lerp``, the momentum step, holds it only as its k x k
+coordinates in the basis [X, Y - X] and retracts along it from k x k
+blocks and one n x 2k product; ``dual_metric_inverse``, the gradient
+restart's pairing of a dual vector with V, is formed from k x k blocks
+too.
 """
 
 from __future__ import annotations
@@ -246,24 +249,27 @@ class DualTangentVector:
 
     @_cached
     def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """P0, P1, P2 (each 2k x 3k, read-only views of one array): the
-        Cayley system [I - Z^T U | Z^T X] of the step scale * w is
-        P0 + h P1 + h^2 P2 with h = scale / 2, that is
+        """P0, P1, P2 of the Cayley system of the step scale * w (see
+        ``_pencil``), read-only, with B = x^T w and G = w^T w."""
+        return tuple(read_only(_pencil(self.base.xtx, self.xtw, self.w.T @ self.w)))
 
-            [[I - h B, -Q,      Q     ],
-             [h^2 G,   I + h B^T, -h B^T]]
 
-        with Q = x^T x, B = x^T w and G = w^T w: a copy of
-        ``_pencil_layout``'s identity blocks, with the other six blocks
-        put in one call."""
-        eyes, where, signs = _pencil_layout(self.w.shape[1])
-        b = self.xtw
-        blocks = np.array([self.base.xtx, self.base.xtx, b, b.T, b.T,
-                           self.w.T @ self.w])
-        blocks *= signs
-        p = eyes.copy()
-        p.put(where, blocks)
-        return tuple(read_only(p))
+def _pencil(q: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """P0, P1, P2 (one 3 x 2k x 3k array): the Cayley system
+    [I - Z^T U | Z^T X] of the step scale * v from x is P0 + h P1 + h^2 P2
+    with h = scale / 2, that is
+
+        [[I - h B, -Q,      Q     ],
+         [h^2 G,   I + h B^T, -h B^T]]
+
+    with Q = x^T x, B = x^T v and G = v^T v: a copy of ``_pencil_layout``'s
+    identity blocks, with the other six blocks put in one call."""
+    eyes, where, signs = _pencil_layout(q.shape[0])
+    blocks = np.array([q, q, b, b.T, b.T, g])
+    blocks *= signs
+    p = eyes.copy()
+    p.put(where, blocks)
+    return p
 
 
 @functools.cache
@@ -343,9 +349,19 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     base = w.base
     if scale == 0.0:
         return base
-    k = w.w.shape[1]
+    r = w.wx @ _cayley_solve(w.pencil, scale, w.w.shape[1])
+    r += base.x
+    if base.has_tiny:
+        _snap_tiny(r)
+    return StiefelPoint._unchecked(r)
+
+
+def _cayley_solve(pencil, scale: float, k: int) -> np.ndarray:
+    """[scale S_top; 2 S_bottom] (2k x k) for the solution S of the Cayley
+    system ``pencil`` (see ``_pencil``) at h = scale / 2. Raises
+    RetractionFailedError when the 2k x 2k solve fails."""
+    p0, p1, p2 = pencil
     h = 0.5 * scale
-    p0, p1, p2 = w.pencil
     system = p2 * h
     system += p1
     system *= h
@@ -357,11 +373,7 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
             f"Cayley solve failed at step scale {scale!r}: {exc}"
         ) from exc
     s *= np.array([scale] * k + [2.0] * k)[:, None]
-    r = w.wx @ s
-    r += base.x
-    if base.has_tiny:
-        _snap_tiny(r)
-    return StiefelPoint._unchecked(r)
+    return s
 
 
 def _snap_tiny(r: np.ndarray) -> None:
@@ -429,11 +441,62 @@ def dual_metric_inverse(w: DualTangentVector, target: StiefelPoint) -> float:
 
 
 def lerp(base: StiefelPoint, target: StiefelPoint, alpha: float) -> StiefelPoint:
-    """Point alpha of the way from base to target along the Cayley curve.
+    """Point alpha of the way from base to target along the Cayley curve:
+    ``cayley_retract(retract_inverse(base, target), alpha)`` in exact
+    arithmetic, formed in the coordinates of [X, D], D = Y - X.
 
     alpha = 0 gives base, alpha = 1 recovers target; alpha outside [0, 1]
     extrapolates, which is how the momentum step is realized.
+
+    With Q = X^T X, E = X^T D and K = (I + Q + E)^{-1} ((I - Q) - E), which
+    is C - I for C = 2 (I + X^T Y)^{-1} and holds no cancellation, the
+    projected inverse is V = X a + D b with a = (3K + K^T) / 2 and
+    b = I + K. So X^T V = Q a + E b and V^T V = a^T X^T V + b^T (E^T a +
+    D^T D b) come from k x k blocks, and the step is
+    X + [X, D] [a (alpha S_top) + 2 S_bottom; b (alpha S_top)] with S
+    the Cayley system's solution at h = alpha / 2. The n-row products are
+    [X, D]^T D (E and D^T D) and that one n x 2k product; Q is the
+    base's cached ``xtx``. No dual vector is formed.
+
+    Raises InverseRetractionFailedError when I + X^T Y is singular to
+    working precision (points too far apart), and RetractionFailedError
+    when the Cayley solve fails. The output is snapped as in
+    ``cayley_retract``.
     """
     if alpha == 0.0:
         return base
-    return cayley_retract(retract_inverse(base, target), alpha)
+    x, y = base.x, target.x
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    n, k = x.shape
+    xd = np.empty((n, 2 * k), order="F")
+    xd[:, :k] = x
+    d = xd[:, k:]
+    np.subtract(y, x, out=d)
+    q = base.xtx
+    gram = np.empty((2 * k, 2 * k))  # [X, D]^T [X, D]
+    gram[:k, :k] = q
+    gram[:, k:] = xd.T @ d
+    e = gram[:k, k:]
+    gram[k:, :k] = e.T
+    eye = identity(k)
+    try:
+        kk = solve_square(eye + q + e, (eye - q) - e)
+    except SingularMatrixError as exc:
+        raise InverseRetractionFailedError(
+            "I + X^T Y is singular; points are too far apart"
+        ) from exc
+    ab = np.empty((2 * k, k))  # [a; b]
+    a = ab[:k]
+    np.multiply(kk, 1.5, out=a)
+    a += 0.5 * kk.T
+    np.add(eye, kk, out=ab[k:])
+    gab = gram @ ab  # [X^T V; D^T V]
+    s = _cayley_solve(_pencil(q, gab[:k], ab.T @ gab), alpha, k)
+    coef = ab @ s[:k]
+    coef[:k] += s[k:]
+    r = xd @ coef
+    r += x
+    if base.has_tiny:
+        _snap_tiny(r)
+    return StiefelPoint._unchecked(r)

@@ -116,6 +116,8 @@ class TestExperimentSpecValidation:
         for bad in (
             dict(good, problem="torus"),
             dict(good, n_values=(20, 10)),
+            dict(good, n_values=(20, 20)),  # a repeated size repeats its rows
+            dict(good, n_values=(10, 20, 20)),
             dict(good, n_values=()),
             dict(good, trials_per_n=0),
             dict(good, methods=("newton",)),

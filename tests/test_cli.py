@@ -110,6 +110,13 @@ class TestScalingCommand:
                 run_cli(["scaling", "--n-values", sizes] + FAST)
             assert exc.value.code == 2
 
+    def test_repeated_n_values_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scaling", "--n-values", "20,20", "--trials", "1",
+                     "--method", "gd"] + FAST)
+        assert exc.value.code == 2
+        assert "strictly ascending" in capsys.readouterr().err
+
     def test_bad_weights_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["scaling", "--problem", "brockett", "--k", "2",

@@ -627,6 +627,92 @@ class TestLerp:
         p = lerp(x, y, 2.0)
         assert np.allclose(p.x, [[-3.0 / 5.0], [4.0 / 5.0]], atol=1e-14)
 
+    @staticmethod
+    def explicit(x, y, alpha):
+        """The step through the formed inverse: retract along V."""
+        return cayley_retract(retract_inverse(x, y), alpha).x
+
+    @pytest.mark.parametrize("n,k", [(1000, 10), (40, 5), (6, 6), (9, 1)])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+    def test_matches_the_step_along_the_formed_inverse(self, n, k, alpha):
+        x, y = TestRetractInverse.pair(n, k, 44)
+        ref = self.explicit(x, y, alpha)
+        got = lerp(x, y, alpha).x
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @staticmethod
+    def lerp_40_digits(x, y, alpha):
+        """The Cayley step alpha V from X, with V = 2 Y (I + X^T Y)^{-1}
+        projected onto the dual tangent space, in 40-digit arithmetic from
+        the float inputs."""
+        with mpmath.workdps(40):
+            xm = mpmath.matrix(x.x.tolist())
+            ym = mpmath.matrix(y.x.tolist())
+            v = ym * (2 * mpmath.inverse(mpmath.eye(x.k) + xm.T * ym))
+            p = xm.T * v
+            v = v - xm * ((p + p.T) / 2)
+            half_b = (v * xm.T - xm * v.T) * (mpmath.mpf(alpha) / 2)
+            eye = mpmath.eye(x.n)
+            r = mpmath.inverse(eye - half_b) * ((eye + half_b) * xm)
+            return np.array(r.tolist(), dtype=np.float64)
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (40, 5)])
+    @pytest.mark.parametrize("step", [1.0, 0.05])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+    def test_error_at_most_twice_the_formed_inverse(self, n, k, step, alpha):
+        x = random_point(n, k, 45)
+        w = rand_dual(x, np.random.default_rng([n, k]), norm=1.0)
+        y = cayley_retract(w, step)
+        ref = self.lerp_40_digits(x, y, alpha)
+        new = np.linalg.norm(lerp(x, y, alpha).x - ref)
+        old = np.linalg.norm(self.explicit(x, y, alpha) - ref)
+        assert new <= 1e-15 * np.linalg.norm(ref)
+        assert new <= 2.0 * old
+
+    def test_forms_no_dual_vector(self, monkeypatch):
+        x, y = TestRetractInverse.pair(40, 5, 46)
+
+        def forbidden(*args):
+            raise AssertionError("formed a dual vector")
+
+        monkeypatch.setattr(geometry.DualTangentVector, "__init__", forbidden)
+        monkeypatch.setattr(geometry.DualTangentVector, "_fresh", forbidden)
+        monkeypatch.setattr(geometry, "project_dual", forbidden)
+        monkeypatch.setattr(geometry, "retract_inverse", forbidden)
+        lerp(x, y, 1.5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_antipodal_points_on_the_circle(self, alpha):
+        # I + X^T Y = 1 - 1 = 0
+        x = StiefelPoint(np.array([[1.0], [0.0]]))
+        y = StiefelPoint(np.array([[-1.0], [0.0]]))
+        with pytest.raises(InverseRetractionFailedError) as info:
+            lerp(x, y, alpha)
+        assert isinstance(info.value.__cause__, SingularMatrixError)
+
+    def test_singular_cayley_solve_raises_retraction_failed(self):
+        # a short gradient step on linear:30 from random_point(30, 3, 0):
+        # the 2k x 2k system is singular to working precision from an
+        # extrapolation factor of about 1e9 on
+        obj = make_objective(parse_spectrum("linear:30"), [1.0, 2.0, 3.0])
+        x = random_point(30, 3, 0)
+        y = cayley_retract(obj.value_and_gradient(x).grad, -0.01)
+        with pytest.raises(RetractionFailedError) as info:
+            lerp(x, y, 1e12)
+        assert isinstance(info.value.__cause__, SingularMatrixError)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            lerp(random_point(5, 2, 0), random_point(6, 2, 0), 1.5)
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (9, 1)])
+    def test_output_gram_and_check_match_a_checked_copy(self, n, k):
+        x, y = TestRetractInverse.pair(n, k, 47)
+        r = lerp(x, y, 1.5)
+        assert not r.x.flags.writeable and r.x.flags.c_contiguous
+        assert np.array_equal(r.xtx, r.x.T @ r.x)
+        assert r.orth_error == StiefelPoint(r.x.copy()).orth_error
+
 
 class TestConditioningBound:
     def test_lemma_proof_step(self):

@@ -41,7 +41,7 @@ def differences(golden: dict, fresh: dict) -> list[str]:
     lines = []
     for workload, want in golden["count_passes"].items():
         got = fresh["count_passes"][workload]
-        for counter in ("passes", "operator_applies"):
+        for counter in ("passes", "restarts", "operator_applies"):
             for method, n in want[counter].items():
                 m = got[counter].get(method, 0)
                 if m != n:
@@ -71,6 +71,7 @@ def differences(golden: dict, fresh: dict) -> list[str]:
 def test_differences_name_counts_fingerprints_and_rows():
     golden = {
         "count_passes": {"w": {"passes": {"gd": 10, "total": 10},
+                               "restarts": {"gd": 0, "total": 0},
                                "operator_applies": {"gd": 30, "total": 30},
                                "fingerprints": {"1": "aaaaaaaaaa"},
                                "solves": 2, "failed": 0}},

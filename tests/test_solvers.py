@@ -8,6 +8,7 @@ from stiefel_agd.errors import (
     InverseRetractionFailedError,
     LineSearchFailedError,
     RetractionFailedError,
+    SingularMatrixError,
 )
 from stiefel_agd.geometry import (
     StiefelPoint,
@@ -318,9 +319,11 @@ class TestGradientDescent:
         class Inverted(Exception):
             pass
 
-        def forbidden(base, target):
+        def forbidden(*args):
             raise Inverted
 
+        # lerp inverts the retraction in its own coordinates
+        monkeypatch.setattr(solvers, "lerp", forbidden)
         monkeypatch.setattr(geometry, "retract_inverse", forbidden)
         monkeypatch.setattr(solvers, "dual_metric_inverse", forbidden)
         spectrum = SpectrumInfo(np.arange(1.0, 41.0))
@@ -483,11 +486,45 @@ def fail_on_call(monkeypatch, module, attr, n, error):
     return calls
 
 
+def fail_in_lerp(monkeypatch, n, error):
+    """Make the n-th call of ``solvers.lerp`` fail where ``geometry.lerp``
+    raises ``error``: its k x k solve for InverseRetractionFailedError,
+    its Cayley solve for RetractionFailedError. Returns the list of its
+    (base, target) pairs and the list of errors it raised."""
+    if error is InverseRetractionFailedError:
+        site, injected = "solve_square", SingularMatrixError
+    else:
+        site, injected = "_cayley_solve", RetractionFailedError
+    original = getattr(geometry, site)
+    calls, raised = [], []
+    failing = [False]
+
+    def broken(*args):
+        if failing[0]:
+            raise injected("injected failure")
+        return original(*args)
+
+    def counting(base, target, alpha):
+        calls.append((base, target))
+        failing[0] = len(calls) == n
+        try:
+            return geometry.lerp(base, target, alpha)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+        finally:
+            failing[0] = False
+
+    monkeypatch.setattr(geometry, site, broken)
+    monkeypatch.setattr(solvers, "lerp", counting)
+    return calls, raised
+
+
 class TestMomentumFailures:
     """A numerical failure in the momentum path resets the momentum and the
     run goes on. ``solvers.dual_metric_inverse`` is the gradient rule's
-    call; ``geometry.retract_inverse`` is the one inside the
-    extrapolation."""
+    call; ``geometry.lerp``'s k x k solve and Cayley solve are the ones
+    inside the extrapolation."""
 
     @pytest.mark.parametrize(
         "error", [InverseRetractionFailedError, RetractionFailedError]
@@ -517,9 +554,10 @@ class TestMomentumFailures:
         obj, minimum = brockett_40_3()
         x0 = random_point(40, 3, 5)
         clean = SOLVERS[solver_name](obj, x0, SolverConfig())
-        calls = fail_on_call(monkeypatch, geometry, "retract_inverse", 6, error)
+        calls, raised = fail_in_lerp(monkeypatch, 6, error)
         trace = SOLVERS[solver_name](obj, x0, SolverConfig())
         assert len(calls) > 6
+        assert [type(exc) for exc in raised] == [error]
         assert trace.termination == CONVERGED
         assert abs(trace.final_value - minimum) <= 1e-8
         assert trace.g_evals == trace.iterations + trace.restarts + 1

@@ -39,15 +39,15 @@ def fake_workloads(monkeypatch):
     return module
 
 
-def outcome(method, passes, applies, error=None):
-    return SimpleNamespace(method=method, passes=passes,
+def outcome(method, passes, restarts, applies, error=None):
+    return SimpleNamespace(method=method, passes=passes, restarts=restarts,
                            operator_applies=applies, error=error)
 
 
 class FakeWorkload:
-    """Per seed s: agd-function makes s passes, agd-gradient 10 s, the
-    unit's fingerprint is "fp<s>"; the gradient solve of seed 2 fails its
-    check."""
+    """Per seed s: agd-function makes s passes with s - 1 restarts,
+    agd-gradient 10 s passes with 2 restarts, the unit's fingerprint is
+    "fp<s>"; the gradient solve of seed 2 fails its check."""
 
     def prepare(self, seed):
         self.seed = seed
@@ -55,8 +55,8 @@ class FakeWorkload:
     def run(self):
         s = self.seed
         return SimpleNamespace(fingerprint=f"fp{s}", outcomes=[
-            outcome("agd-function", s, 3 * s),
-            outcome("agd-gradient", 10 * s, 30 * s,
+            outcome("agd-function", s, s - 1, 3 * s),
+            outcome("agd-gradient", 10 * s, 2, 30 * s,
                     "termination max_iterations" if s == 2 else None),
         ])
 
@@ -67,6 +67,7 @@ def test_sums_per_method_and_in_total(tool, fake_workloads, capsys):
         "workload": "brockett-agd",
         "seeds": [1, 3],
         "passes": {"agd-function": 6, "agd-gradient": 60, "total": 66},
+        "restarts": {"agd-function": 3, "agd-gradient": 6, "total": 9},
         "operator_applies": {"agd-function": 18, "agd-gradient": 180,
                              "total": 198},
         "fingerprints": {"1": "fp1", "2": "fp2", "3": "fp3"},

@@ -4,14 +4,14 @@
 
 Runs the unit of WORKLOAD (a name in ``perfbench/workloads.py``) once for
 each seed FIRST..LAST, with BLAS pinned to one thread, and prints one JSON
-line: the sums of ``passes`` and ``operator_applies`` per method and in
-total, each seed's unit fingerprint (the one ``perfbench/run.py`` reports),
-the number of solves and the number that failed a check. Pass counts and
-fingerprints are deterministic, so one run per seed suffices; this is the
-aggregate count gate of ROADMAP.md, and with equal fingerprints the
-same-bits gate, without a timing run. The package is imported from ``src/``
-of the checkout the script sits in, and nothing under ``perfbench/`` is
-written.
+line: the sums of ``passes``, ``restarts`` and ``operator_applies`` per
+method and in total, each seed's unit fingerprint (the one
+``perfbench/run.py`` reports), the number of solves and the number that
+failed a check. Pass counts and fingerprints are deterministic, so one run
+per seed suffices; this is the aggregate count gate of ROADMAP.md, and
+with equal fingerprints the same-bits gate, without a timing run. The
+package is imported from ``src/`` of the checkout the script sits in, and
+nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ def count(make, name: str, first: int, last: int) -> dict:
     """The sums over the units of seeds first..last of workload ``name``,
     each unit built by ``make(name)``."""
     passes: dict[str, int] = {}
+    restarts: dict[str, int] = {}
     applies: dict[str, int] = {}
     fingerprints: dict[str, str] = {}
     solves = failed = 0
@@ -39,6 +40,9 @@ def count(make, name: str, first: int, last: int) -> dict:
         fingerprints[str(seed)] = unit.fingerprint
         for outcome in unit.outcomes:
             passes[outcome.method] = passes.get(outcome.method, 0) + outcome.passes
+            restarts[outcome.method] = (
+                restarts.get(outcome.method, 0) + outcome.restarts
+            )
             applies[outcome.method] = (
                 applies.get(outcome.method, 0) + outcome.operator_applies
             )
@@ -48,6 +52,7 @@ def count(make, name: str, first: int, last: int) -> dict:
         "workload": name,
         "seeds": [first, last],
         "passes": dict(sorted(passes.items()), total=sum(passes.values())),
+        "restarts": dict(sorted(restarts.items()), total=sum(restarts.values())),
         "operator_applies": dict(sorted(applies.items()), total=sum(applies.values())),
         "fingerprints": fingerprints,
         "solves": solves,

@@ -6,8 +6,8 @@
 The record holds what ROADMAP's same-bits gate compares, at seed 1:
 
   * ``count_passes``: for each perfbench workload, the output of
-    ``tools/count_passes.py WORKLOAD 1 1`` (fingerprint, and ``passes``
-    and ``operator_applies`` per method);
+    ``tools/count_passes.py WORKLOAD 1 1`` (fingerprint, and ``passes``,
+    ``restarts`` and ``operator_applies`` per method);
   * ``csv``: for each gate sweep, the ``stiefel-agd scaling`` arguments,
     the SHA-256 of the CSV it writes and the CSV's lines, so that a
     mismatch can name the rows that differ;
