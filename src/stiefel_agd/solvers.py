@@ -9,7 +9,12 @@ shrunk (until the Armijo 1/2 threshold holds):
     f(X+) <= f(Y) - (gamma/2) ||grad f(Y)||_{g*}^2.
 
 Requiring c_L > 1/2 means no gamma can trigger both loops, so the search
-terminates; the accepted gamma is carried into the next iteration.
+terminates. Each search starts from the gamma accepted two passes earlier
+(the first two from gamma0), where the paper carries the last one. This
+was measured for gradient descent, whose accepted steps alternate between
+two points of the grid gamma0 * lambda^m, so the step of two passes ago is
+where the next one lands and starting there saves the walk across the
+cycle; all three methods share it as one rule.
 
 The restart rule then decides whether the step is kept:
 
@@ -243,7 +248,7 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
     trace = RunTrace(max_orth_drift=x0.orth_error)
     x = y = x0
     known_x = known_y = None  # records of the trials that valued x and y
-    gamma = config.gamma0
+    gamma = gamma_prev = config.gamma0  # accepted at the last pass and the one before
     k = 0
 
     while True:
@@ -261,9 +266,10 @@ def _run(objective, x0: StiefelPoint, config: SolverConfig, restart: str | None)
             trace.termination = MAX_ITERATIONS
             break
         gn2 = gn_y * gn_y
+        gamma_in, gamma_prev = gamma_prev, gamma
         try:
             gamma, x_next, known_next, trials = line_search(
-                objective, grad_y, gamma, config, f_y=f_y, grad_norm_sq=gn2
+                objective, grad_y, gamma_in, config, f_y=f_y, grad_norm_sq=gn2
             )
         except LineSearchFailedError:
             trace.f_evals += LINESEARCH_TRIALS

@@ -7,8 +7,10 @@ across criteria through module-scoped fixtures. Criteria 5-9 use those
 fixtures and are marked ``slow``; ``pytest -m "not slow"`` skips them.
 """
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,18 +102,14 @@ def sphere_sweep(sphere_sweep_spec):
 
 @pytest.fixture(scope="module")
 def brockett_sweep():
-    spec = ExperimentSpec(
-        problem="brockett",
-        spectrum="linear",
-        k=10,
-        weights="optimal",
-        n_values=(100, 316, 1000),
-        trials_per_n=5,
-        base_seed=0,
-        methods=("gd", "agd-function", "agd-gradient"),
-        solver=sa.SolverConfig(epsilon=1e-10, max_iter=1_000_000, **PAPER_PARAMS),
-    )
-    return run_experiment(spec)
+    """Brockett k=10, linear spectrum, optimal weights, n = 100, 316, 1000,
+    5 trials each, every solver, tol 1e-10. The spec is defined once, in
+    tools/grid_phase.py, which reruns it at other phases of gamma0."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "grid_phase.py"
+    loader = importlib.util.spec_from_file_location("grid_phase", path)
+    grid_phase = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(grid_phase)
+    return run_experiment(grid_phase.criterion_7_spec())
 
 
 SPHERE_SWEEP_ARGS = [
@@ -301,8 +299,8 @@ def _check_scaling_criterion(criterion, result):
         "these problem sizes. It is set mostly by where gamma0 = 0.1 falls "
         "on the line search's step grid gamma0 * 1.7^m: rescaling the "
         "operator by 1.7^(j/4), which moves gamma0 across one grid step, "
-        "gave GD slopes of 0.815, 0.704, 1.284 and 0.910 for j = 0..3 "
-        "while f was summed term by term (ROADMAP item 6)"
+        "gives GD slopes of 0.826, 0.685, 1.297 and 0.913 for j = 0..3 "
+        "(tools/grid_phase.py, ROADMAP item 6)"
     )
 
 

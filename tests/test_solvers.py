@@ -370,7 +370,7 @@ class TestSubnormals:
     def test_no_subnormal_reaches_a_trial_or_gradient(self, monkeypatch):
         trace, census = self.run(monkeypatch)
         assert trace.termination == CONVERGED
-        assert len(trace.records) == 446
+        assert len(trace.records) == 402
         assert census == {"trial": 0, "w": 0, "wx": 0}
 
     def test_the_snap_changes_no_record(self, monkeypatch):
@@ -595,6 +595,35 @@ class TestMomentumFailures:
         assert blocks.restarts > 0
         assert blocks.records == formed.records
         assert np.array_equal(blocks.final_point.x, formed.final_point.x)
+
+
+class TestLineSearchStart:
+    """Each pass's line search starts from the step accepted two passes
+    earlier, the first two from gamma0; a restarted pass's step counts like
+    a kept one."""
+
+    @pytest.mark.parametrize("method", list(SOLVERS))
+    def test_each_search_starts_where_the_one_two_passes_back_ended(
+            self, monkeypatch, method):
+        searches = []
+
+        def recording(objective, grad_y, gamma_in, config, **kwargs):
+            result = line_search(objective, grad_y, gamma_in, config, **kwargs)
+            searches.append((gamma_in, result[0]))
+            return result
+
+        monkeypatch.setattr(solvers, "line_search", recording)
+        obj, _ = brockett_40_3()
+        config = SolverConfig()
+        trace = SOLVERS[method](obj, random_point(40, 3, 5), config)
+        assert trace.termination == CONVERGED
+        if method != "gd":
+            assert any(rec.restarted for rec in trace.records[:-2])
+        started = [g_in for g_in, _ in searches]
+        accepted = [g for _, g in searches]
+        assert accepted == [rec.gamma for rec in trace.records]
+        assert started[:2] == [config.gamma0] * 2
+        assert started[2:] == accepted[:-2]
 
 
 class TestMomentumFactor:

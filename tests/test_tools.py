@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from stiefel_agd import bench
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "count_passes.py"
 
 
@@ -39,15 +41,16 @@ def fake_workloads(monkeypatch):
     return module
 
 
-def outcome(method, passes, restarts, applies, error=None):
+def outcome(method, passes, restarts, applies, trials, error=None):
     return SimpleNamespace(method=method, passes=passes, restarts=restarts,
-                           operator_applies=applies, error=error)
+                           operator_applies=applies, f_evals=trials, error=error)
 
 
 class FakeWorkload:
-    """Per seed s: agd-function makes s passes with s - 1 restarts,
-    agd-gradient 10 s passes with 2 restarts, the unit's fingerprint is
-    "fp<s>"; the gradient solve of seed 2 fails its check."""
+    """Per seed s: agd-function makes s passes with s - 1 restarts and 2 s
+    trials, agd-gradient 10 s passes with 2 restarts and 15 s trials, the
+    unit's fingerprint is "fp<s>"; the gradient solve of seed 2 fails its
+    check."""
 
     def prepare(self, seed):
         self.seed = seed
@@ -55,8 +58,8 @@ class FakeWorkload:
     def run(self):
         s = self.seed
         return SimpleNamespace(fingerprint=f"fp{s}", outcomes=[
-            outcome("agd-function", s, s - 1, 3 * s),
-            outcome("agd-gradient", 10 * s, 2, 30 * s,
+            outcome("agd-function", s, s - 1, 3 * s, 2 * s),
+            outcome("agd-gradient", 10 * s, 2, 30 * s, 15 * s,
                     "termination max_iterations" if s == 2 else None),
         ])
 
@@ -70,6 +73,9 @@ def test_sums_per_method_and_in_total(tool, fake_workloads, capsys):
         "restarts": {"agd-function": 3, "agd-gradient": 6, "total": 9},
         "operator_applies": {"agd-function": 18, "agd-gradient": 180,
                              "total": 198},
+        "trials": {"agd-function": 12, "agd-gradient": 90, "total": 102},
+        "trials_per_pass": {"agd-function": 2.0, "agd-gradient": 1.5,
+                            "total": 1.545},
         "fingerprints": {"1": "fp1", "2": "fp2", "3": "fp3"},
         "solves": 6,
         "failed": 1,
@@ -87,6 +93,34 @@ def test_bad_arguments_exit_2(tool, fake_workloads, argv, capsys):
         tool.main(argv)
     assert exc.value.code == 2
     assert fake_workloads.made == []
+
+
+GRID_PHASE = Path(__file__).resolve().parents[1] / "tools" / "grid_phase.py"
+
+
+def test_grid_phase_fits_the_criterion_7_sweep_at_each_phase():
+    spec = importlib.util.spec_from_file_location("grid_phase", GRID_PHASE)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    sweep = tool.criterion_7_spec((12, 20), 2, 2)
+    build = bench.build_problem
+    # through JSON, as ``main`` prints it
+    lines = [json.loads(json.dumps(tool.phase(sweep, j))) for j in (0, 2)]
+    assert bench.build_problem is build
+    assert [(p["j"], p["c"], p["failures"]) for p in lines] == [
+        (0, 1.0, 0), (2, 1.7 ** 0.5, 0)]
+    # phase 0 is the unscaled sweep
+    plain = bench.run_experiment(sweep)
+    for method, fit in plain.fits.items():
+        assert lines[0]["methods"][method] == {
+            "slope": round(fit.slope, 3),
+            "mean_iterations": [
+                sum(r.iterations for r in plain.rows
+                    if r.method == method and r.n == n) / 2
+                for n in (12, 20)
+            ],
+        }
+    assert lines[1]["methods"] != lines[0]["methods"]
 
 
 PERCALL = Path(__file__).resolve().parents[1] / "tools" / "percall.py"

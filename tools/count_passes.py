@@ -4,8 +4,9 @@
 
 Runs the unit of WORKLOAD (a name in ``perfbench/workloads.py``) once for
 each seed FIRST..LAST, with BLAS pinned to one thread, and prints one JSON
-line: the sums of ``passes``, ``restarts`` and ``operator_applies`` per
-method and in total, each seed's unit fingerprint (the one
+line: the sums of ``passes``, ``restarts``, ``operator_applies`` and
+``trials`` (line-search trials, ``f_evals``) per method and in total, the
+trials per pass, each seed's unit fingerprint (the one
 ``perfbench/run.py`` reports), the number of solves and the number that
 failed a check. Pass counts and fingerprints are deterministic, so one run
 per seed suffices; this is the aggregate count gate of ROADMAP.md, and
@@ -31,6 +32,7 @@ def count(make, name: str, first: int, last: int) -> dict:
     passes: dict[str, int] = {}
     restarts: dict[str, int] = {}
     applies: dict[str, int] = {}
+    trials: dict[str, int] = {}
     fingerprints: dict[str, str] = {}
     solves = failed = 0
     for seed in range(first, last + 1):
@@ -46,14 +48,23 @@ def count(make, name: str, first: int, last: int) -> dict:
             applies[outcome.method] = (
                 applies.get(outcome.method, 0) + outcome.operator_applies
             )
+            trials[outcome.method] = trials.get(outcome.method, 0) + outcome.f_evals
             solves += 1
             failed += outcome.error is not None
+    passes, restarts, applies, trials = (
+        dict(sorted(d.items()), total=sum(d.values()))
+        for d in (passes, restarts, applies, trials)
+    )
     return {
         "workload": name,
         "seeds": [first, last],
-        "passes": dict(sorted(passes.items()), total=sum(passes.values())),
-        "restarts": dict(sorted(restarts.items()), total=sum(restarts.values())),
-        "operator_applies": dict(sorted(applies.items()), total=sum(applies.values())),
+        "passes": passes,
+        "restarts": restarts,
+        "operator_applies": applies,
+        "trials": trials,
+        "trials_per_pass": {
+            m: round(trials[m] / p, 3) if p else None for m, p in passes.items()
+        },
         "fingerprints": fingerprints,
         "solves": solves,
         "failed": failed,
