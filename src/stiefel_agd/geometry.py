@@ -59,14 +59,15 @@ stays zero, so a start whose component along the answer lies below
 2^-511 stays trapped there (without the snap, below 2^-1074).
 
 The Cayley retraction is invertible in closed form: R(X, raise(V)) = Y is
-solved by V = 2 Y (I + X^T Y)^{-1} followed by projection onto the dual
-tangent space (``retract_inverse``), which enables interpolation and
-extrapolation along the retraction curve through two points. The solvers
-never form V. ``lerp``, the momentum step, holds it only as its k x k
-coordinates in the basis [X, Y - X] and retracts along it from k x k
-blocks and one n x 2k product; ``dual_metric_inverse``, the gradient
-restart's pairing of a dual vector with V, is formed from k x k blocks
-too.
+solved by V = 2 Y (I + X^T Y)^{-1} projected onto the dual tangent space,
+which enables interpolation and extrapolation along the retraction curve
+through two points. The package holds V in one form only, as k x k
+coordinates in the basis [X, D], D = Y - X (``_inverse_coords``): on a
+short step they are O(||D||), so V is never the difference of two O(1)
+terms. The solvers never form V. ``lerp``, the momentum step, retracts
+along it from k x k blocks and one n x 2k product; ``dual_metric_inverse``,
+the gradient restart's pairing of a dual vector with V, reads it from
+k x k blocks. ``retract_inverse`` forms V as an n x k dual vector.
 """
 
 from __future__ import annotations
@@ -381,21 +382,28 @@ def _snap_tiny(r: np.ndarray) -> None:
     np.putmask(r, np.abs(r) < TINY, 0.0)
 
 
-def _inverse_factor(base: StiefelPoint, target: StiefelPoint) -> tuple[np.ndarray, np.ndarray]:
-    """X^T Y and C = 2 (I + X^T Y)^{-1} for X = base, Y = target: one k x k
-    solve against the identity. Raises InverseRetractionFailedError when
-    I + X^T Y is singular to working precision."""
-    x, y = base.x, target.x
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    eye = identity(x.shape[1])
-    xty = x.T @ y
+def _inverse_coords(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """[a; b] (2k x k): the projected inverse V of the Cayley retraction
+    from X to Y = X + D is X a + D b, with Q = X^T X, E = X^T D and K
+    from (I + Q + E) K = (I - Q) - E, a = (3K + K^T) / 2 and b = I + K.
+    K is C - I for C = 2 (I + X^T Y)^{-1} and holds no cancellation: it
+    is O(||D||), and a symmetric rounding of Q moves only a's symmetric
+    part. Raises InverseRetractionFailedError when I + X^T Y = I + Q + E
+    is singular to working precision (points too far apart)."""
+    k = q.shape[0]
+    eye = identity(k)
     try:
-        return xty, 2.0 * solve_square(eye + xty, eye)
+        kk = solve_square(eye + q + e, (eye - q) - e)
     except SingularMatrixError as exc:
         raise InverseRetractionFailedError(
             "I + X^T Y is singular; points are too far apart"
         ) from exc
+    ab = np.empty((2 * k, k))
+    a = ab[:k]
+    np.multiply(kk, 1.5, out=a)
+    a += 0.5 * kk.T
+    np.add(eye, kk, out=ab[k:])
+    return ab
 
 
 def retract_inverse(base: StiefelPoint, target: StiefelPoint) -> DualTangentVector:
@@ -403,41 +411,42 @@ def retract_inverse(base: StiefelPoint, target: StiefelPoint) -> DualTangentVect
 
     The closed form is V = 2 Y (I + X^T Y)^{-1}, unique up to X S for
     symmetric S; the returned vector is its projection onto the dual
-    tangent space. Raises InverseRetractionFailedError when I + X^T Y is
-    singular to working precision (points too far apart).
-
-    V is formed as Y (2 M^{-1}), M = I + X^T Y: one k x k solve against the
-    identity, then one n x k product. Solving M^T Z = Y^T against all n
-    rows of Y costs LAPACK about 4x this whole path at n = 1000, k = 10.
-    A C-ordered copy of the Fortran-ordered factor makes that product
-    faster with the same bits.
+    tangent space, which [X, D] [a; b] is in exact arithmetic, with
+    D = Y - X and [a; b] from ``_inverse_coords``. Raises
+    InverseRetractionFailedError when I + X^T Y is singular to working
+    precision (points too far apart). No solver calls it.
     """
-    _, c = _inverse_factor(base, target)
-    return project_dual(base, target.x @ np.ascontiguousarray(c))
+    x, y = base.x, target.x
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    k = x.shape[1]
+    d = y - x
+    ab = _inverse_coords(base.xtx, x.T @ d)
+    return DualTangentVector._fresh(x @ ab[:k] + d @ ab[k:], base)
 
 
 def dual_metric_inverse(w: DualTangentVector, target: StiefelPoint) -> float:
-    """<w, retract_inverse(X, target)>_{g*} at X = w.base, from k x k blocks.
+    """<w, retract_inverse(Y, target)>_{g*} at Y = w.base, from k x k blocks.
 
-    With Y = target, C = 2 (I + X^T Y)^{-1}, P = X^T Y C and
-    A = -(P + P^T) / 2, the projected inverse is V = Y C + X A, so
+    With X = target, D = X - Y and [a; b] from ``_inverse_coords`` at
+    Q = Y^T Y and E = Y^T D, the projected inverse is V = Y a + D b, so
 
-        <W, V>_{g*} = <Y^T W, C> + <X^T W, A> + <X^T W, P + X^T X A>.
+        <W, V>_{g*} = <Y^T W, a + Q a + E b> + <D^T W, b>.
 
-    Two n-row products (X^T Y and Y^T W) instead of forming, projecting and
-    checking V; X^T W and X^T X are the cached ``w.xtw`` and
-    ``w.base.xtx``. Raises InverseRetractionFailedError as
+    Y^T W and Q are the cached ``w.xtw`` and ``w.base.xtx``; W^T D and E
+    come from the one n-row product [W, Y]^T D with the cached ``w.wx``.
+    No dual vector is formed. Raises InverseRetractionFailedError as
     ``retract_inverse`` does.
     """
-    xty, c = _inverse_factor(w.base, target)
-    p = xty @ c
-    a = -0.5 * (p + p.T)
-    xtw = w.xtw
-    return float(
-        np.vdot(target.x.T @ w.w, c)
-        + np.vdot(xtw, a)
-        + np.vdot(xtw, p + w.base.xtx @ a)
-    )
+    y, x = w.base.x, target.x
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    k = x.shape[1]
+    wd = w.wx.T @ (x - y)  # [W^T D; E]
+    q, e = w.base.xtx, wd[k:]
+    ab = _inverse_coords(q, e)
+    a, b = ab[:k], ab[k:]
+    return float(np.vdot(w.xtw, a + q @ a + e @ b) + np.vdot(wd[:k].T, b))
 
 
 def lerp(base: StiefelPoint, target: StiefelPoint, alpha: float) -> StiefelPoint:
@@ -448,15 +457,13 @@ def lerp(base: StiefelPoint, target: StiefelPoint, alpha: float) -> StiefelPoint
     alpha = 0 gives base, alpha = 1 recovers target; alpha outside [0, 1]
     extrapolates, which is how the momentum step is realized.
 
-    With Q = X^T X, E = X^T D and K = (I + Q + E)^{-1} ((I - Q) - E), which
-    is C - I for C = 2 (I + X^T Y)^{-1} and holds no cancellation, the
-    projected inverse is V = X a + D b with a = (3K + K^T) / 2 and
-    b = I + K. So X^T V = Q a + E b and V^T V = a^T X^T V + b^T (E^T a +
-    D^T D b) come from k x k blocks, and the step is
-    X + [X, D] [a (alpha S_top) + 2 S_bottom; b (alpha S_top)] with S
-    the Cayley system's solution at h = alpha / 2. The n-row products are
-    [X, D]^T D (E and D^T D) and that one n x 2k product; Q is the
-    base's cached ``xtx``. No dual vector is formed.
+    With Q = X^T X and E = X^T D, the projected inverse is V = X a + D b
+    with [a; b] from ``_inverse_coords``. So X^T V = Q a + E b and
+    V^T V = a^T X^T V + b^T (E^T a + D^T D b) come from k x k blocks, and
+    the step is X + [X, D] [a (alpha S_top) + 2 S_bottom; b (alpha S_top)]
+    with S the Cayley system's solution at h = alpha / 2. The n-row
+    products are [X, D]^T D (E and D^T D) and that one n x 2k product; Q
+    is the base's cached ``xtx``. No dual vector is formed.
 
     Raises InverseRetractionFailedError when I + X^T Y is singular to
     working precision (points too far apart), and RetractionFailedError
@@ -479,18 +486,7 @@ def lerp(base: StiefelPoint, target: StiefelPoint, alpha: float) -> StiefelPoint
     gram[:, k:] = xd.T @ d
     e = gram[:k, k:]
     gram[k:, :k] = e.T
-    eye = identity(k)
-    try:
-        kk = solve_square(eye + q + e, (eye - q) - e)
-    except SingularMatrixError as exc:
-        raise InverseRetractionFailedError(
-            "I + X^T Y is singular; points are too far apart"
-        ) from exc
-    ab = np.empty((2 * k, k))  # [a; b]
-    a = ab[:k]
-    np.multiply(kk, 1.5, out=a)
-    a += 0.5 * kk.T
-    np.add(eye, kk, out=ab[k:])
+    ab = _inverse_coords(q, e)
     gab = gram @ ab  # [X^T V; D^T V]
     s = _cayley_solve(_pencil(q, gab[:k], ab.T @ gab), alpha, k)
     coef = ab @ s[:k]

@@ -12,7 +12,15 @@ index maps
 which are mutual inverses. The geodesic retraction X(t) = expm(t B) X is
 reduced to the invariant subspace span([X, W]) (dimension <= 2k) before
 exponentiating. The Cayley map is the (1,1) rational approximant of that
-exponential, so the two agree to second order in the step.
+exponential, so the two agree to second order in the step. The inverse
+of the Cayley retraction is here in its closed form,
+
+    V = 2 Y (I + X^T Y)^{-1}  projected onto the dual tangent space at X,
+
+with one k x k solve against the identity. The package forms the same
+vector, and its pairing with a dual vector, in the coordinates of
+[X, Y - X], where a short step's V is not the difference of two O(1)
+terms.
 
 Euclidean accelerated gradient descent, for validating the convergence
 theory the manifold solvers inherit. The iteration is
@@ -48,13 +56,19 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from stiefel_agd.errors import NotSymmetricError
+from stiefel_agd.errors import (
+    InverseRetractionFailedError,
+    NotSymmetricError,
+    SingularMatrixError,
+)
 from stiefel_agd.geometry import (
     DualTangentVector,
     StiefelPoint,
     _check_base,
     _tangent_array,
+    project_dual,
 )
+from stiefel_agd.linalg import solve_square
 
 
 # ------------------------------------------------------- Stiefel geometry
@@ -117,6 +131,22 @@ def geodesic_retract(w: DualTangentVector, t: float) -> StiefelPoint:
     e = scipy.linalg.expm(t * bt)
     np.fill_diagonal(e, np.diag(e) - 1.0)
     return StiefelPoint._unchecked(x + q @ (e @ b))
+
+
+def closed_form_inverse(base: StiefelPoint, target: StiefelPoint) -> DualTangentVector:
+    """The dual vector V at X = ``base`` with R(X, raise(V)) = Y =
+    ``target``: V = Y C projected onto the dual tangent space, with
+    C = 2 (I + X^T Y)^{-1} from one k x k solve against the identity.
+    Raises InverseRetractionFailedError when I + X^T Y is singular to
+    working precision."""
+    eye = np.eye(base.k)
+    try:
+        c = 2.0 * solve_square(eye + base.x.T @ target.x, eye)
+    except SingularMatrixError as exc:
+        raise InverseRetractionFailedError(
+            "I + X^T Y is singular; points are too far apart"
+        ) from exc
+    return project_dual(base, target.x @ c)
 
 
 # ------------------------------------------ Euclidean accelerated descent

@@ -1,6 +1,10 @@
 """Property tests of the geometry identities on edge shapes.
 
-Shapes cover k = 1, k = n, n = 1 and k = n - 1. The conditioning bound
+Shapes cover k = 1, k = n, n = 1 and k = n - 1. The three users of the
+inverse retraction's coordinates (``retract_inverse``, the pairing
+``dual_metric_inverse`` and ``lerp``) agree with each other, and raise
+alike on singular pairs built from signed permutation matrices, whose
+products are exact. The conditioning bound
 cond(I + X^T Y) <= 2 / sqrt(3 - ||X - Y||_F^2) is checked on Cayley steps
 pushed until ||X - Y||_F^2 is just below 3. Bases whose trailing rows are
 about 2^-600 check that no Cayley output holds an entry in (0, TINY).
@@ -19,10 +23,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stiefel_agd import geometry
+from stiefel_agd.errors import InverseRetractionFailedError
 from stiefel_agd.geometry import (
     TINY,
     StiefelPoint,
     cayley_retract,
+    dual_metric,
+    dual_metric_inverse,
     dual_norm,
     lerp,
     project_dual,
@@ -132,11 +139,70 @@ def test_inverse_matches_the_n_right_hand_side_solve(pw, scale):
     raw = 2.0 * solve_square(m.T, y.x.T).T
     ref = project_dual(x, raw).w
     v = retract_inverse(x, y).w
-    # both round at the scale of the unprojected 2 Y M^{-1}, which the
-    # projection can shrink to nearly zero for a short step
+    # the n right-hand-side solve rounds at the scale of the unprojected
+    # 2 Y M^{-1}, which the projection can shrink to nearly zero for a
+    # short step
     assert np.linalg.norm(v - ref) <= 1e-14 * np.linalg.norm(raw)
-    if x.k == 1:
-        assert np.array_equal(v, ref)
+
+
+EDGE_EXAMPLES = [unit_direction(1, 1, 0), unit_direction(9, 1, 1),
+                 unit_direction(7, 6, 2), unit_direction(6, 6, 3)]
+
+
+@given(point_and_direction(), st.floats(-1.5, 1.5), st.integers(0, 2**32 - 1))
+@example(EDGE_EXAMPLES[0], 1.0, 0)
+@example(EDGE_EXAMPLES[1], -1.5, 1)
+@example(EDGE_EXAMPLES[2], 1.5, 2)
+@example(EDGE_EXAMPLES[3], 0.05, 3)
+def test_pairing_is_the_metric_of_the_inverse(pw, scale, seed):
+    x, w = pw
+    y = cayley_retract(w, scale)
+    g = project_dual(y, np.random.default_rng(seed).standard_normal((x.n, x.k)))
+    v = retract_inverse(y, x)
+    want = dual_metric(g, v)
+    assert abs(dual_metric_inverse(g, x) - want) <= 1e-13 * dual_norm(g) * dual_norm(v)
+
+
+@given(point_and_direction(), st.floats(-1.5, 1.5), st.floats(-1.0, 2.5))
+@example(EDGE_EXAMPLES[0], 1.0, 1.5)
+@example(EDGE_EXAMPLES[1], -1.5, 2.5)
+@example(EDGE_EXAMPLES[2], 1.5, -1.0)
+@example(EDGE_EXAMPLES[3], 0.05, 1.5)
+def test_lerp_is_the_step_along_the_inverse(pw, scale, alpha):
+    x, w = pw
+    y = cayley_retract(w, scale)
+    want = cayley_retract(retract_inverse(x, y), alpha).x
+    assert np.linalg.norm(lerp(x, y, alpha).x - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@st.composite
+def signed_permutation_point(draw):
+    """An edge-shaped point whose columns are distinct signed unit vectors,
+    so X^T X = I and every product with it is exact."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from(sorted({1, max(n - 1, 1), n})))
+    rows = draw(st.permutations(range(n)))[:k]
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=k, max_size=k))
+    x = np.zeros((n, k))
+    x[rows, range(k)] = signs
+    return StiefelPoint(x)
+
+
+@given(signed_permutation_point(), st.integers(0, 11))
+@example(StiefelPoint(np.ones((1, 1))), 0)
+@example(StiefelPoint(0.5 * np.array([[1.0, 1.0], [1.0, -1.0],
+                                      [1.0, 1.0], [1.0, -1.0]])), 1)
+def test_singular_pairs_raise_in_every_caller(x, j):
+    # I + X^T Y is 0 for the antipode, and has a zero column when column
+    # j mod k is negated
+    flip = np.ones(x.k)
+    flip[j % x.k] = -1.0
+    g = project_dual(x, np.random.default_rng(j).standard_normal((x.n, x.k)))
+    for y in (StiefelPoint(-x.x), StiefelPoint(x.x * flip)):
+        for call in (lambda: retract_inverse(x, y), lambda: dual_metric_inverse(g, y),
+                     lambda: lerp(x, y, 1.5)):
+            with pytest.raises(InverseRetractionFailedError):
+                call()
 
 
 def step_to_distance(x, w, target: float) -> float:

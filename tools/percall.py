@@ -18,7 +18,10 @@ For each size n x k in ``SIZES``, on the Brockett cost with eigenvalues
   * ``value_and_gradient``: the value and gradient at a point with no
     record, which applies the operator;
   * ``lerp_and_check``: ``lerp`` through the point and a trial point with
-    the momentum factor 1.5, and the orthonormality check of the result.
+    the momentum factor 1.5, and the orthonormality check of the result;
+  * ``pairing``: the gradient restart's ``dual_metric_inverse`` of the
+    gradient at that look-ahead point with the point, after one call has
+    formed the gradient's [W, Y], as the line search's first trial does.
 
 and prints one JSON line: the best of ``REPEAT`` runs of ``NUMBER``
 calls each, in microseconds per call, with BLAS pinned to one thread and
@@ -45,7 +48,13 @@ def calls(n: int, k: int) -> dict:
     """The timed callables at size n x k, each after one warm-up call."""
     import numpy as np
 
-    from stiefel_agd.geometry import StiefelPoint, cayley_retract, lerp, random_point
+    from stiefel_agd.geometry import (
+        StiefelPoint,
+        cayley_retract,
+        dual_metric_inverse,
+        lerp,
+        random_point,
+    )
     from stiefel_agd.linalg import qr_thin
     from stiefel_agd.objectives import DiagonalOperator, ObjectiveSpec
 
@@ -58,6 +67,7 @@ def calls(n: int, k: int) -> dict:
     a = np.random.default_rng(0).standard_normal((n, k))
     a[n - n // 2 :] *= 2.0**-600
     tiny_grad = objective.value_and_gradient(StiefelPoint(qr_thin(a)[0])).grad
+    ahead_grad = objective.value_and_gradient(lerp(x, target, 1.5)).grad
 
     def trial_and_gradient(grad=grad):
         trial = cayley_retract(grad, -0.01)
@@ -72,12 +82,16 @@ def calls(n: int, k: int) -> dict:
     def lerp_and_check():
         lerp(x, target, 1.5).orth_error
 
+    def pairing():
+        dual_metric_inverse(ahead_grad, x)
+
     found = {
         "value": value,
         "trial_and_gradient": trial_and_gradient,
         "trial_and_gradient_tiny": lambda: trial_and_gradient(tiny_grad),
         "value_and_gradient": value_and_gradient,
         "lerp_and_check": lerp_and_check,
+        "pairing": pairing,
     }
     for call in found.values():
         call()
