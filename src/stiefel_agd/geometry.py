@@ -11,37 +11,40 @@ The Cayley retraction
     R(X, raise(W)) = (I - B/2)^{-1} (I + B/2) X,   B = W X^T - X W^T
 
 is evaluated through the Sherman-Morrison-Woodbury identity so that only
-a 2k x 2k system is ever solved:
+a 2k x 2k system is ever solved. For a step scale * W and h = scale / 2,
 
-    U = [W/2, X],  Z = [X, -W/2],  R = X + 2 U (I - Z^T U)^{-1} Z^T X.
+    R = X + [W, X] (scale Y),   (I + h K) Y = N,
+    K = [[-B, -Q], [G, B^T]],   N = [Q; -B^T],
 
-For a step scale * W and h = scale / 2, the system [I - Z^T U | Z^T X]
-is the quadratic pencil P0 + h P1 + h^2 P2 built from the k x k blocks
-X^T X, X^T W and W^T W. Each n-row Gram block is formed once and reused:
-X^T X by the point's check (``StiefelPoint.xtx``), X^T W by the vector's
-check (``DualTangentVector.xtw``, also read by ``dual_metric``), and W^T W,
-[W, X] and the pencil by the first retraction along the vector. Every
-further line-search trial costs two scaled adds, one 2k x 2k solve and
-one n x 2k product. The point it returns wraps that product without a
-copy; its X^T X and orthonormality check are formed only if the point is
-read as an iterate, so a rejected trial pays for neither. A dual vector
-``project_dual`` builds is not copied or scanned either; its skew check
-also rejects NaN and inf. For k >= 2, [W, X] is Fortran-ordered like the
-2k x k solution LAPACK returns, which keeps numpy's product off BLAS's
-slow transposed-packing path; packed GEMM does the same arithmetic in any
+with the k x k blocks Q = X^T X, B = X^T W and G = W^T W. This is
+
+    R = X + 2 U (I - Z^T U)^{-1} Z^T X,   U = [hW, X],  Z = [X, -hW],
+
+whose system is quadratic in h, after its lower block row and its lower
+half of unknowns are divided by h. Each n-row Gram block is formed once and
+reused: X^T X by the point's check (``StiefelPoint.xtx``), X^T W by the
+vector's check (``DualTangentVector.xtw``, also read by ``dual_metric``),
+and W^T W, [W, X] and [K | N] by the first retraction along the vector.
+Every further line-search trial costs one scaled add (I + h K), one
+2k x 2k solve, one scale of its 2k x k solution and one n x 2k product. The
+point it returns wraps that product without a copy; its X^T X and
+orthonormality check are formed only if the point is read as an iterate,
+so a rejected trial pays for neither. A dual vector ``project_dual``
+builds is not copied or scanned either; its skew check also rejects NaN
+and inf. For k >= 2, [W, X] is Fortran-ordered like the 2k x k solution
+LAPACK returns, which keeps numpy's product off BLAS's slow
+transposed-packing path; packed GEMM does the same arithmetic in any
 layout, so the bits do not change. At k = 1 the product is a
 matrix-vector product that the layout does not speed up, and [W, X] stays
 C-ordered.
 
 A point's ``xtx``, ``orth_error`` and ``has_tiny`` and a vector's ``wx``
-and ``pencil`` are made on first read and kept in the instance's
+and ``system`` are made on first read and kept in the instance's
 ``__dict__`` by ``_cached``, a lock-free ``functools.cached_property``;
 later reads are plain attribute lookups. Identity matrices come from
-``linalg.identity``, one read-only array per size, and the pencil's fixed
-part (its identity blocks, where the other blocks go and their signs) from
-``_pencil_layout``, once per rank k. The two Frobenius norms of the checks
-are ``linalg.frobenius``, numpy's own 2-D ``norm`` path with the same
-bits.
+``linalg.identity``, one read-only array per size. The two Frobenius
+norms of the checks are ``linalg.frobenius``, numpy's own 2-D ``norm``
+path with the same bits.
 
 Subnormal floats are kept out of the trial arithmetic. On a diagonal
 operator the rows of X off the answer's support decay geometrically, and
@@ -72,7 +75,6 @@ k x k blocks. ``retract_inverse`` forms V as an n x k dual vector.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -125,7 +127,7 @@ class StiefelPoint:
     """A point on the Stiefel manifold: n x k matrix, orthonormal columns.
 
     ``orth_error`` (||x^T x - I||_F, the drift solvers report) and ``xtx``
-    (the read-only x^T x, read by the Cayley pencil of every dual vector at
+    (the read-only x^T x, read by the Cayley system of every dual vector at
     this point and by ``dual_metric_inverse``) are formed on first read and
     cached. Reading ``orth_error`` is the orthonormality check: it raises
     ValueError above ``INVARIANT_TOL`` or for NaN. The constructor copies
@@ -216,7 +218,7 @@ class DualTangentVector:
 
     ``xtw`` is the read-only x^T w that the check forms, read by
     ``dual_metric`` and ``dual_metric_inverse``. ``wx`` ([w, x])
-    and ``pencil`` are formed, read-only, on first use by
+    and ``system`` ([K | N]) are formed, read-only, on first use by
     ``cayley_retract``.
     """
 
@@ -249,45 +251,29 @@ class DualTangentVector:
         return read_only(wx)
 
     @_cached
-    def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """P0, P1, P2 of the Cayley system of the step scale * w (see
-        ``_pencil``), read-only, with B = x^T w and G = w^T w."""
-        return tuple(read_only(_pencil(self.base.xtx, self.xtw, self.w.T @ self.w)))
+    def system(self) -> np.ndarray:
+        """[K | N] of the Cayley system of the step scale * w (see
+        ``_cayley_system``), read-only, with B = x^T w and G = w^T w."""
+        return read_only(_cayley_system(self.base.xtx, self.xtw, self.w.T @ self.w))
 
 
-def _pencil(q: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """P0, P1, P2 (one 3 x 2k x 3k array): the Cayley system
-    [I - Z^T U | Z^T X] of the step scale * v from x is P0 + h P1 + h^2 P2
-    with h = scale / 2, that is
+def _cayley_system(q: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[K | N] (2k x 3k): the Cayley step scale * v from x is
+    x + [v, x] (scale Y) for the solution Y of (I + h K) Y = N at
+    h = scale / 2, with
 
-        [[I - h B, -Q,      Q     ],
-         [h^2 G,   I + h B^T, -h B^T]]
+        K = [[-B, -Q], [G, B^T]],   N = [Q; -B^T],
 
-    with Q = x^T x, B = x^T v and G = v^T v: a copy of ``_pencil_layout``'s
-    identity blocks, with the other six blocks put in one call."""
-    eyes, where, signs = _pencil_layout(q.shape[0])
-    blocks = np.array([q, q, b, b.T, b.T, g])
-    blocks *= signs
-    p = eyes.copy()
-    p.put(where, blocks)
-    return p
-
-
-@functools.cache
-def _pencil_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fixed part of the 3 x 2k x 3k Cayley pencil at rank k: the
-    array holding only its identity blocks, the flat indices of its
-    blocks -Q, Q, -B, B^T, -B^T and G (each k x k, row-major, in that
-    order) and the signs (6 x 1 x 1) that make Q, Q, B, B^T, B^T, G those
-    blocks; -1.0 * v is -v exactly. All read-only and shared."""
-    eyes = np.zeros((3, 2 * k, 3 * k))
-    eyes[0, :, : 2 * k] = identity(2 * k)
-    flat = np.arange(eyes.size).reshape(eyes.shape)
-    where = np.array([flat[0, :k, k : 2 * k], flat[0, :k, 2 * k :],
-                      flat[1, :k, :k], flat[1, k:, k : 2 * k],
-                      flat[1, k:, 2 * k :], flat[2, k:, :k]])
-    signs = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[:, None, None]
-    return read_only(eyes), read_only(where), read_only(signs)
+    Q = x^T x, B = x^T v and G = v^T v."""
+    k = q.shape[0]
+    kn = np.empty((2 * k, 3 * k))
+    np.negative(b, out=kn[:k, :k])
+    np.negative(q, out=kn[:k, k : 2 * k])
+    kn[:k, 2 * k :] = q
+    kn[k:, :k] = g
+    kn[k:, k : 2 * k] = b.T
+    np.negative(b.T, out=kn[k:, 2 * k :])
+    return kn
 
 
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
@@ -315,7 +301,9 @@ def project_dual(base: StiefelPoint, raw) -> DualTangentVector:
     if w.shape != x.shape:
         raise ValueError(f"shape {w.shape} does not match base {x.shape}")
     xtw = x.T @ w
-    return DualTangentVector._fresh(w - 0.5 * (x @ (xtw + xtw.T)), base)
+    d = x @ (0.5 * (xtw + xtw.T))  # halving is exact: the bits of 0.5 (x @ ...)
+    np.subtract(w, d, out=d)
+    return DualTangentVector._fresh(d, base)
 
 
 def dual_metric(w1: DualTangentVector, w2: DualTangentVector) -> float:
@@ -334,10 +322,11 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     2k x 2k solve.
 
     scale = 0 returns the base point exactly. The underlying n x n Cayley
-    matrix is nonsingular for every skew generator, so failures of the
-    reduced solve only occur for pathologically large steps; they surface
-    as RetractionFailedError. The system is w's pencil at h = scale / 2,
-    and 2 U S = [W, X] [scale S_top; 2 S_bottom].
+    matrix is nonsingular for every skew generator, and so is the reduced
+    system I + h K of w's [K | N] at h = scale / 2. Its solve fails for a
+    non-finite scale, and in floating point at most for extreme finite
+    ones (a gradient of dual norm 28 was retracted at scales from 1e6 to
+    1e20); a failure surfaces as RetractionFailedError.
 
     If the base has an entry below ``TINY`` = 2^-511 (``base.has_tiny``),
     the output's entries below ``TINY`` are set to 0.0: products of
@@ -350,31 +339,28 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     base = w.base
     if scale == 0.0:
         return base
-    r = w.wx @ _cayley_solve(w.pencil, scale, w.w.shape[1])
+    r = w.wx @ _cayley_solve(w.system, scale)
     r += base.x
     if base.has_tiny:
         _snap_tiny(r)
     return StiefelPoint._unchecked(r)
 
 
-def _cayley_solve(pencil, scale: float, k: int) -> np.ndarray:
-    """[scale S_top; 2 S_bottom] (2k x k) for the solution S of the Cayley
-    system ``pencil`` (see ``_pencil``) at h = scale / 2. Raises
+def _cayley_solve(kn: np.ndarray, scale: float) -> np.ndarray:
+    """scale * Y (2k x k) for the solution Y of the Cayley system
+    ``kn`` = [K | N] (see ``_cayley_system``) at h = scale / 2. Raises
     RetractionFailedError when the 2k x 2k solve fails."""
-    p0, p1, p2 = pencil
-    h = 0.5 * scale
-    system = p2 * h
-    system += p1
-    system *= h
-    system += p0
+    m = kn.shape[0]
+    system = kn[:, :m] * (0.5 * scale)
+    system += identity(m)
     try:
-        s = solve_square(system[:, : 2 * k], system[:, 2 * k :])
+        y = solve_square(system, kn[:, m:])
     except SingularMatrixError as exc:
         raise RetractionFailedError(
             f"Cayley solve failed at step scale {scale!r}: {exc}"
         ) from exc
-    s *= np.array([scale] * k + [2.0] * k)[:, None]
-    return s
+    y *= scale
+    return y
 
 
 def _snap_tiny(r: np.ndarray) -> None:
@@ -458,12 +444,13 @@ def lerp(base: StiefelPoint, target: StiefelPoint, alpha: float) -> StiefelPoint
     extrapolates, which is how the momentum step is realized.
 
     With Q = X^T X and E = X^T D, the projected inverse is V = X a + D b
-    with [a; b] from ``_inverse_coords``. So X^T V = Q a + E b and
-    V^T V = a^T X^T V + b^T (E^T a + D^T D b) come from k x k blocks, and
-    the step is X + [X, D] [a (alpha S_top) + 2 S_bottom; b (alpha S_top)]
-    with S the Cayley system's solution at h = alpha / 2. The n-row
-    products are [X, D]^T D (E and D^T D) and that one n x 2k product; Q
-    is the base's cached ``xtx``. No dual vector is formed.
+    with [a; b] from ``_inverse_coords``. So B = X^T V = Q a + E b and
+    G = V^T V = a^T X^T V + b^T (E^T a + D^T D b) come from k x k blocks,
+    and the step is X + [X, D] [a (alpha Y_top) + alpha Y_bottom;
+    b (alpha Y_top)] with Y the Cayley system's solution at h = alpha / 2
+    (see ``_cayley_system``). The n-row products are [X, D]^T D (E and
+    D^T D) and that one n x 2k product; Q is the base's cached ``xtx``.
+    No dual vector is formed.
 
     Raises InverseRetractionFailedError when I + X^T Y is singular to
     working precision (points too far apart), and RetractionFailedError
@@ -488,7 +475,7 @@ def lerp(base: StiefelPoint, target: StiefelPoint, alpha: float) -> StiefelPoint
     gram[k:, :k] = e.T
     ab = _inverse_coords(q, e)
     gab = gram @ ab  # [X^T V; D^T V]
-    s = _cayley_solve(_pencil(q, gab[:k], ab.T @ gab), alpha, k)
+    s = _cayley_solve(_cayley_system(q, gab[:k], ab.T @ gab), alpha)
     coef = ab @ s[:k]
     coef[:k] += s[k:]
     r = xd @ coef

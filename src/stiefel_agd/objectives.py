@@ -162,7 +162,8 @@ class ObjectiveSpec:
                 f"point shape {a.shape} does not match objective "
                 f"({self.n}, {self.k})"
             )
-        g = self.operator.apply(a) * self._weight_tile
+        g = self.operator.apply(a)  # a fresh array
+        g *= self._weight_tile
         return ValueRecord(0.5 * float(np.vdot(a, g)), g)
 
     _evaluate = value  # value_and_gradient's entry, untouched when ``value`` is wrapped

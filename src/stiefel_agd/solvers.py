@@ -9,7 +9,9 @@ shrunk (until the Armijo 1/2 threshold holds):
     f(X+) <= f(Y) - (gamma/2) ||grad f(Y)||_{g*}^2.
 
 Requiring c_L > 1/2 means no gamma can trigger both loops, so the search
-terminates. Each search starts from the gamma accepted two passes earlier
+terminates, and a grown step that misses the Armijo test gives way to the
+step before it, already valued and above c_L, so no step is valued twice.
+Each search starts from the gamma accepted two passes earlier
 (the first two from gamma0), where the paper carries the last one. This
 was measured for gradient descent, whose accepted steps alternate between
 two points of the grid gamma0 * lambda^m, so the step of two passes ago is
@@ -212,10 +214,16 @@ def line_search(
         return x, record, record.value
 
     x_next, record, f_next = trial(gamma)
+    grown = None
     # grow while the decrease beats the stronger threshold
     while f_next < f_y - config.c_l * gamma * grad_norm_sq:
+        grown = gamma, x_next, record, f_next
         gamma *= config.lambda_d
         x_next, record, f_next = trial(gamma)
+    # a grow step that misses the Armijo 1/2 threshold gives way to the one
+    # before it, which beat c_L > 1/2 and so holds it
+    if grown is not None and not (f_next <= f_y - 0.5 * gamma * grad_norm_sq):
+        gamma, x_next, record, f_next = grown
     # shrink until the Armijo 1/2 threshold holds (NaN-safe comparison)
     while not (f_next <= f_y - 0.5 * gamma * grad_norm_sq):
         gamma /= config.lambda_d

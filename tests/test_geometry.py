@@ -59,24 +59,20 @@ def cayley_1d(w_scalar):
 
 
 def cayley_smw(base, w, scale):
-    """The Cayley retraction as the module docstring writes it, each block
-    of [I - Z^T U | Z^T X] scaled by h = scale / 2 after the Gram products
-    (h X^T W, (W^T W h) h), assembled blockwise and solved by LAPACK
-    dgetrf/dgetrs; the point is X + [W, X] [scale S_top; 2 S_bottom]."""
+    """The Cayley retraction as the module docstring writes it: the system
+    I + h K with h = scale / 2 and K = [[-B, -Q], [G, B^T]] from the Gram
+    products Q = X^T X, B = X^T W and G = W^T W, assembled blockwise and
+    solved against N = [Q; -B^T] by LAPACK dgetrf/dgetrs; the point is
+    X + [W, X] (scale Y)."""
     x, wm = base.x, w.w
     k = base.k
     h = 0.5 * scale
     xtw = x.T @ wm
     xtx = x.T @ x
-    eye = np.eye(k)
-    system = np.block([
-        [eye - h * xtw, -xtx, xtx],
-        [((wm.T @ wm) * h) * h, eye + h * xtw.T, -(h * xtw.T)],
-    ])
-    lu, piv, _ = dgetrf(system[:, : 2 * k])
-    s, _ = dgetrs(lu, piv, system[:, 2 * k :])
-    coeffs = np.concatenate((scale * s[:k], 2.0 * s[k:]))
-    return x + np.concatenate((wm, x), axis=1) @ coeffs
+    kk = np.block([[-xtw, -xtx], [wm.T @ wm, xtw.T]])
+    lu, piv, _ = dgetrf(np.eye(2 * k) + kk * h)
+    y, _ = dgetrs(lu, piv, np.concatenate((xtx, -xtw.T)))
+    return x + np.concatenate((wm, x), axis=1) @ (scale * y)
 
 
 def cayley_step_first(base, w, scale):
@@ -378,6 +374,21 @@ class TestCayleyRetract:
         assert new <= 1e-15 * np.linalg.norm(ref)
         assert new <= 2.0 * old
 
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 10.0])
+    def test_error_against_40_digits_scales_with_the_step(self, scale):
+        # unit directions at (12, 3), 10 seeds; measured at most 10.5 eps
+        # ||X+ - X||_F (at scale 1e-2, where the error is mostly the last
+        # rounding of X + step), for this linear system and for the pencil
+        # quadratic in h used before
+        worst = 0.0
+        for seed in range(10):
+            x = random_point(12, 3, seed)
+            w = rand_dual(x, np.random.default_rng(seed + 100), norm=1.0)
+            ref = self.cayley_40_digits(x, w, scale)
+            err = np.linalg.norm(cayley_retract(w, scale).x - ref)
+            worst = max(worst, err / (EPS * np.linalg.norm(ref - x.x)))
+        assert worst <= 32.0
+
     @pytest.mark.parametrize("n, k", [(12, 3), (9, 1), (5, 5), (1, 1)])
     @pytest.mark.parametrize("retract", [cayley_retract, geodesic_retract])
     def test_output_gram_and_check_match_a_checked_copy(self, n, k, retract):
@@ -389,14 +400,23 @@ class TestCayleyRetract:
         assert r.orth_error == StiefelPoint(r.x.copy()).orth_error
 
     def test_singular_solve_raises_retraction_failed(self):
-        # the Brockett gradient (norm 28.1) at random_point(30, 3, 0) on
-        # linear:30, weights 1..3: the 2k x 2k system is singular to
-        # working precision from a scale of about 2.6e6 on
+        # I + h K at a non-finite h holds NaN (0 h) and inf entries, so
+        # LAPACK's pivots are not finite
+        x, w = self.case(12, 3)
+        for scale in (np.inf, -np.inf, np.nan):
+            with pytest.raises(RetractionFailedError) as info:
+                cayley_retract(w, scale)
+            assert isinstance(info.value.__cause__, SingularMatrixError)
+
+    @pytest.mark.parametrize("scale", [-1e8, 1e12, -1e20])
+    def test_huge_steps_are_solved(self, scale):
+        # the Brockett gradient (dual norm 28.1) at random_point(30, 3, 0)
+        # on linear:30, weights 1..3: the pencil quadratic in h, used
+        # before, was singular to working precision from a scale of about
+        # 2.6e6 on, where h^2 G swamped its identity blocks
         obj = make_objective(parse_spectrum("linear:30"), [1.0, 2.0, 3.0])
         grad = obj.value_and_gradient(random_point(30, 3, 0)).grad
-        with pytest.raises(RetractionFailedError) as info:
-            cayley_retract(grad, 1e8)
-        assert isinstance(info.value.__cause__, SingularMatrixError)
+        assert cayley_retract(grad, scale).orth_error <= 1e-14
 
     def test_closed_form_on_circle(self):
         x = StiefelPoint(np.array([[1.0], [0.0]]))
@@ -718,16 +738,27 @@ class TestLerp:
             lerp(x, y, alpha)
         assert isinstance(info.value.__cause__, SingularMatrixError)
 
-    def test_singular_cayley_solve_raises_retraction_failed(self):
-        # a short gradient step on linear:30 from random_point(30, 3, 0):
-        # the 2k x 2k system is singular to working precision from an
-        # extrapolation factor of about 1e9 on
+    @staticmethod
+    def short_gradient_step():
+        """random_point(30, 3, 0) and a step of -0.01 along its Brockett
+        gradient on linear:30, weights 1..3."""
         obj = make_objective(parse_spectrum("linear:30"), [1.0, 2.0, 3.0])
         x = random_point(30, 3, 0)
-        y = cayley_retract(obj.value_and_gradient(x).grad, -0.01)
-        with pytest.raises(RetractionFailedError) as info:
-            lerp(x, y, 1e12)
-        assert isinstance(info.value.__cause__, SingularMatrixError)
+        return x, cayley_retract(obj.value_and_gradient(x).grad, -0.01)
+
+    def test_singular_cayley_solve_raises_retraction_failed(self):
+        x, y = self.short_gradient_step()
+        for alpha in (np.inf, np.nan):
+            with pytest.raises(RetractionFailedError) as info:
+                lerp(x, y, alpha)
+            assert isinstance(info.value.__cause__, SingularMatrixError)
+
+    @pytest.mark.parametrize("alpha", [1e9, 1e12, -1e16])
+    def test_huge_extrapolations_are_solved(self, alpha):
+        # the pencil quadratic in h, used before, was singular to working
+        # precision here from a factor of about 1e9 on
+        x, y = self.short_gradient_step()
+        assert lerp(x, y, alpha).orth_error <= 1e-14
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -70,25 +70,23 @@ def test_cached_blocks_are_exact_and_read_only(pw):
     x, w = pw
     k = x.k
     xtw = x.x.T @ w.w
-    pencil = np.zeros((3, 2 * k, 3 * k))
-    pencil[0, :, : 2 * k] = np.eye(2 * k)
-    pencil[0, :k, k : 2 * k] = -x.xtx
-    pencil[0, :k, 2 * k :] = x.xtx
-    pencil[1, :k, :k] = -xtw
-    pencil[1, k:, k : 2 * k] = xtw.T
-    pencil[1, k:, 2 * k :] = -xtw.T
-    pencil[2, k:, :k] = w.w.T @ w.w
+    system = np.zeros((2 * k, 3 * k))  # [K | N]
+    system[:k, :k] = -xtw
+    system[:k, k : 2 * k] = -x.xtx
+    system[:k, 2 * k :] = x.xtx
+    system[k:, :k] = w.w.T @ w.w
+    system[k:, k : 2 * k] = xtw.T
+    system[k:, 2 * k :] = -xtw.T
     expected = {
         "xtw": xtw,
         "wx": np.concatenate((w.w, x.x), axis=1),
-        "pencil": tuple(pencil),  # P0, P1, P2
+        "system": system,
     }
     for name, block in expected.items():
         cached = getattr(w, name)
         assert type(cached) is type(block), name
         assert np.array_equal(cached, block), name
-        for part in cached if isinstance(cached, tuple) else (cached,):
-            assert not part.flags.writeable, name
+        assert not cached.flags.writeable, name
         assert getattr(w, name) is cached, name
 
 
@@ -344,7 +342,7 @@ def test_identity_is_shared_and_read_only(k):
 
 
 CACHED = {StiefelPoint: ("xtx", "has_tiny", "orth_error"),
-          geometry.DualTangentVector: ("wx", "pencil")}
+          geometry.DualTangentVector: ("wx", "system")}
 
 
 @given(point_and_direction())

@@ -201,19 +201,88 @@ class TestLineSearch:
                         f_y=self.f_y, grad_norm_sq=self.gn2)
         assert len(calls) == LINESEARCH_TRIALS == 60
 
-    def test_singular_trial_counts_and_shrinks(self):
-        # gamma grows by 1.7 from 0.1 until the 34th trial, at scale
-        # -4.0e6, where the Cayley solve is singular (from about 2.6e6 on);
-        # that trial counts with f = +inf and values nothing, and the
-        # first shrunk step is accepted
+    @staticmethod
+    def search_singular_above(monkeypatch, gamma_in):
+        """The line search along ``brockett_30_3_gradient`` of an
+        ``UnboundedBelow`` objective from ``gamma_in``, with the Cayley
+        solve singular for |h| above 1.5e6: (gamma, record, trials, the
+        objective's calls, the scales whose retraction failed)."""
         grad, f_y, gn2 = brockett_30_3_gradient()
+        m = 2 * grad.base.k
+        limit = 1.5e6 * np.abs(grad.system[:, :m]).max()  # max |I + h K|
+        solve = geometry.solve_square
+
+        def singular_above(a, b):
+            if np.abs(a).max() > limit:
+                raise SingularMatrixError("injected: |h| above 1.5e6")
+            return solve(a, b)
+
+        failed = []
+
+        def retract(w, scale):
+            try:
+                return cayley_retract(w, scale)
+            except RetractionFailedError as exc:
+                assert isinstance(exc.__cause__, SingularMatrixError)
+                failed.append(scale)
+                raise
+
+        monkeypatch.setattr(geometry, "solve_square", singular_above)
+        monkeypatch.setattr(solvers, "cayley_retract", retract)
         obj = UnboundedBelow()
         gamma, _, record, trials = line_search(
-            obj, grad, 0.1, self.cfg, f_y=f_y, grad_norm_sq=gn2
+            obj, grad, gamma_in, SolverConfig(), f_y=f_y, grad_norm_sq=gn2
         )
-        assert trials == 35 and obj.calls == 34
+        return gamma, record, trials, obj.calls, failed
+
+    def test_singular_trial_counts_and_shrinks(self, monkeypatch):
+        # gamma grows by 1.7 from 0.1 until the 34th trial, at scale
+        # -0.1 * 1.7^33 (about -4.0e6), where the solve fails; that trial
+        # counts with f = +inf and values nothing, and the step one grid
+        # point below it, the last grown one, is kept without a second
+        # trial
+        gamma, record, trials, calls, failed = self.search_singular_above(
+            monkeypatch, 0.1)
+        assert (trials, calls) == (34, 33)
+        assert failed == [pytest.approx(-0.1 * 1.7**33)]
         assert gamma == pytest.approx(0.1 * 1.7**32)  # about 2.37e6
         assert record.value == -math.inf
+
+    def test_singular_first_trial_counts_and_shrinks(self, monkeypatch):
+        # the same failing step as the first trial: the first shrunk step
+        # is accepted
+        gamma, record, trials, calls, failed = self.search_singular_above(
+            monkeypatch, 0.1 * 1.7**33)
+        assert (trials, calls) == (2, 1)
+        assert failed == [pytest.approx(-0.1 * 1.7**33)]
+        assert gamma == pytest.approx(0.1 * 1.7**32)
+        assert record.value == -math.inf
+
+    def test_grow_then_shrink_values_each_step_once(self, monkeypatch):
+        # a decrease of 0.9 gamma ||g||^2, beating c_L = 0.7, for gamma up
+        # to 0.5 and none above: the grow from 0.1 stops at 0.1 * 1.7^4,
+        # which misses the Armijo test too, and 0.1 * 1.7^3 is kept
+        scales = []
+
+        def retract(w, scale):
+            scales.append(scale)
+            return cayley_retract(w, scale)
+
+        f_y, gn2 = self.f_y, self.gn2
+
+        class Stepped:
+            def value(self, x):
+                gamma = -scales[-1]
+                decrease = 0.9 * gamma * gn2 if gamma <= 0.5 else 0.0
+                return ValueRecord(f_y - decrease, None)
+
+        monkeypatch.setattr(solvers, "cayley_retract", retract)
+        gamma, _, record, trials = line_search(
+            Stepped(), self.grad, 0.1, self.cfg, f_y=f_y, grad_norm_sq=gn2
+        )
+        assert trials == len(scales) == len(set(scales)) == 5
+        assert gamma == -scales[3] == pytest.approx(0.1 * 1.7**3)
+        assert record.value == f_y - 0.9 * gamma * gn2
 
     @pytest.mark.parametrize("gamma_in", [1e-6, 1e6], ids=["grow", "shrink"])
     def test_a_rejected_trial_point_is_not_checked(self, monkeypatch, gamma_in):
@@ -246,6 +315,15 @@ class TestLineSearch:
         # until the budget runs out
         grad, f_y, gn2 = brockett_30_3_gradient()
         monkeypatch.setattr(solvers, "cayley_retract", lambda w, scale: w.base)
+        obj = UnboundedBelow()
+        with pytest.raises(LineSearchFailedError, match="in 60 trials"):
+            line_search(obj, grad, 0.1, self.cfg, f_y=f_y, grad_norm_sq=gn2)
+        assert obj.calls == LINESEARCH_TRIALS == 60
+
+    def test_every_grown_cayley_step_is_solved(self):
+        # no injection: the Cayley solve does not fail on the 60 grown
+        # steps up to 0.1 * 1.7^59 (about 4.1e12) along this gradient
+        grad, f_y, gn2 = brockett_30_3_gradient()
         obj = UnboundedBelow()
         with pytest.raises(LineSearchFailedError, match="in 60 trials"):
             line_search(obj, grad, 0.1, self.cfg, f_y=f_y, grad_norm_sq=gn2)
@@ -371,7 +449,7 @@ class TestSubnormals:
     def test_no_subnormal_reaches_a_trial_or_gradient(self, monkeypatch):
         trace, census = self.run(monkeypatch)
         assert trace.termination == CONVERGED
-        assert len(trace.records) == 402
+        assert len(trace.records) == 404
         assert census == {"trial": 0, "w": 0, "wx": 0}
 
     def test_the_snap_changes_no_record(self, monkeypatch):

@@ -141,7 +141,7 @@ def test_percall_times_each_call_at_each_size(percall):
     out = json.loads(json.dumps(percall.measure([(6, 2), (5, 1)], 2, 1)))
     assert list(out["us_per_call"]) == ["6x2", "5x1"]
     for times in out["us_per_call"].values():
-        assert list(times) == ["value", "trial_and_gradient",
+        assert list(times) == ["value", "trial", "trial_and_gradient",
                                "trial_and_gradient_tiny", "value_and_gradient",
                                "lerp_and_check", "pairing"]
         assert all(t > 0.0 for t in times.values())

@@ -7,10 +7,12 @@ For each size n x k in ``SIZES``, on the Brockett cost with eigenvalues
 
   * ``value``: the value at a line-search trial point on its own (the
     operator product, the weight tile and the dot);
-  * ``trial_and_gradient``: a further line-search trial (the Cayley step
-    along the gradient, after one call has built its pencil, and the
-    value at the new point) followed by ``value_and_gradient`` at that
-    same point, handed the trial's record, as in a gradient-descent pass;
+  * ``trial``: a further line-search trial on its own: the Cayley step
+    along the gradient, after one call has built the gradient's Cayley
+    system [K | N], and the value at the new point;
+  * ``trial_and_gradient``: that trial followed by ``value_and_gradient``
+    at the same point, handed the trial's record, as in a
+    gradient-descent pass;
   * ``trial_and_gradient_tiny``: the same, from a point whose last n/2
     rows are about 2^-600 (the thin QR of a Gaussian matrix with those
     rows scaled), as the rows off the answer become in a long
@@ -69,6 +71,9 @@ def calls(n: int, k: int) -> dict:
     tiny_grad = objective.value_and_gradient(StiefelPoint(qr_thin(a)[0])).grad
     ahead_grad = objective.value_and_gradient(lerp(x, target, 1.5)).grad
 
+    def trial():
+        objective.value(cayley_retract(grad, -0.01))
+
     def trial_and_gradient(grad=grad):
         trial = cayley_retract(grad, -0.01)
         objective.value_and_gradient(trial, objective.value(trial))
@@ -87,6 +92,7 @@ def calls(n: int, k: int) -> dict:
 
     found = {
         "value": value,
+        "trial": trial,
         "trial_and_gradient": trial_and_gradient,
         "trial_and_gradient_tiny": lambda: trial_and_gradient(tiny_grad),
         "value_and_gradient": value_and_gradient,
