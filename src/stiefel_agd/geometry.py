@@ -22,42 +22,47 @@ with the k x k blocks Q = X^T X, B = X^T W and G = W^T W. This is
 
 whose system is quadratic in h, after its lower block row and its lower
 half of unknowns are divided by h. Each n-row Gram block is formed once and
-reused: X^T X by the point's check (``StiefelPoint.xtx``), X^T W by the
-vector's check (``DualTangentVector.xtw``, also read by ``dual_metric``),
-and W^T W, [W, X] and [K | N] by the first retraction along the vector.
-Every further line-search trial costs one scaled add (I + h K), one
-2k x 2k solve, one scale of its 2k x k solution and one n x 2k product. The
-point it returns wraps that product without a copy; its X^T X and
-orthonormality check are formed only if the point is read as an iterate,
-so a rejected trial pays for neither. A dual vector ``project_dual``
-builds is not copied or scanned either; its skew check also rejects NaN
-and inf. For k >= 2, [W, X] is Fortran-ordered like the 2k x k solution
-LAPACK returns, which keeps numpy's product off BLAS's slow
-transposed-packing path; packed GEMM does the same arithmetic in any
-layout, so the bits do not change. At k = 1 the product is a
-matrix-vector product that the layout does not speed up, and [W, X] stays
-C-ordered.
+reused: X^T X by the point's check (``StiefelPoint.xtx``), and
+[W^T W; X^T W] = [W, X]^T W by one product when the vector is made
+(``DualTangentVector.wtw`` and ``xtw``; X^T W is the vector's check, also
+read by ``dual_metric``). [K | N] is built by the first retraction along
+the vector. Every further line-search trial costs one scaled add (I + h K),
+one 2k x 2k solve, one scale of its 2k x k solution and one n x 2k
+product. The point it returns wraps that product without a copy; its
+X^T X and orthonormality check are formed only if the point is read as an
+iterate, so a rejected trial pays for neither. The vector's skew check
+also rejects NaN and inf, so its entries are not scanned.
 
-A point's ``xtx``, ``orth_error`` and ``has_tiny`` and a vector's ``wx``
-and ``system`` are made on first read and kept in the instance's
-``__dict__`` by ``_cached``, a lock-free ``functools.cached_property``;
-later reads are plain attribute lookups. Identity matrices come from
-``linalg.identity``, one read-only array per size. The two Frobenius
-norms of the checks are ``linalg.frobenius``, numpy's own 2-D ``norm``
-path with the same bits.
+Every n x k array the package makes is column-major (Fortran-ordered):
+points, dual vectors, the operator and weight tiles and the Euclidean
+gradient. A dual vector owns one n x 2k buffer [W, X] from the start:
+``project_dual`` subtracts the projected gradient straight into its left
+half, ``w`` is a view of that half, and X goes into the right half as one
+contiguous copy. Each product that returns an n x k array is written as a
+transposed row-major product, the trial's X + ((scale Y)^T [W, X]^T)^T
+for one, so BLAS writes it column-major without a copy, and dot products
+of n x k arrays run over memory order (``linalg.inner``).
+
+A point's ``xtx``, ``orth_error`` and ``has_tiny`` and a vector's
+``system`` are made on first read and kept in the instance's ``__dict__``
+by ``_cached``, a lock-free ``functools.cached_property``; later reads are
+plain attribute lookups. Identity matrices come from ``linalg.identity``,
+one read-only array per size. The two Frobenius norms of the checks are
+``linalg.frobenius``, numpy's own 2-D ``norm`` path with the same bits.
 
 Subnormal floats are kept out of the trial arithmetic. On a diagonal
 operator the rows of X off the answer's support decay geometrically, and
 a long gradient-descent run would otherwise compute with numbers below
 2^-1022, each of which costs the SIMD units a microcode assist. So when a
-Cayley retraction's base point has an entry of magnitude below ``TINY`` =
+line search's base point has an entry of magnitude below ``TINY`` =
 sqrt(smallest normal) = 2^-511 (``StiefelPoint.has_tiny``, one
-elementwise pass on first read), every entry of its output below ``TINY``
-is set to 0.0; this covers line-search trials and ``lerp``'s output. The
-product of two entries at or above 2^-511 is still a normal number, and
-an entry below it is far below anything the solver resolves. A base
-without such an entry gets its output bit for bit, and points the caller
-builds are never changed. The price: on a diagonal operator a zeroed row
+elementwise pass on first read), every entry of each trial point below
+``TINY`` is set to 0.0. The product of two entries at or above 2^-511 is
+still a normal number, and an entry below it is far below anything the
+solver resolves. A base without such an entry gets its trials bit for
+bit, and points the caller builds are never changed. ``lerp``'s output is
+not snapped: it is the base of the next line search, which scans it and
+snaps every trial from it. The price: on a diagonal operator a zeroed row
 stays zero, so a start whose component along the answer lies below
 2^-511 stays trapped there (without the snap, below 2^-1074).
 
@@ -85,9 +90,9 @@ from .errors import (
     RetractionFailedError,
     SingularMatrixError,
 )
-from .linalg import as_matrix, frobenius, identity, qr_thin, read_only, solve_square
+from .linalg import as_matrix, frobenius, identity, inner, qr_thin, read_only, solve_square
 
-#: sqrt(smallest normal float64) = 2^-511 ~ 1.49e-154. A Cayley retraction
+#: sqrt(smallest normal float64) = 2^-511 ~ 1.49e-154. ``cayley_retract``
 #: from a base with an entry below it sets its output's entries below it
 #: to 0.0 (see the module docstring).
 TINY = math.sqrt(np.finfo(np.float64).smallest_normal)
@@ -135,7 +140,8 @@ class StiefelPoint:
     fresh array and is checked when the solvers keep it as an iterate or
     look-ahead point, so a rejected line-search trial is never checked.
     ``has_tiny`` (some entry has |x| < ``TINY``, zeros included) is formed
-    on first read by one elementwise pass and cached.
+    on first read by one elementwise pass and cached. ``x`` is
+    column-major and read-only.
     """
 
     x: np.ndarray
@@ -150,10 +156,12 @@ class StiefelPoint:
 
     @classmethod
     def _unchecked(cls, x: np.ndarray) -> StiefelPoint:
-        """Wrap ``x``, a fresh C-ordered n x k array no one else holds, as
-        a read-only point without copying or checking it."""
+        """Wrap ``x``, a fresh n x k array no one else holds, as a
+        read-only point without checking it. The package's arrays are
+        column-major already and are not copied; any other is copied into
+        that order, which the dot products of ``linalg.inner`` rely on."""
         p = object.__new__(cls)
-        p.__dict__["x"] = read_only(x)
+        p.__dict__["x"] = read_only(np.asfortranarray(x))
         return p
 
     @_cached
@@ -189,19 +197,10 @@ def _check_base(p: StiefelPoint, q: StiefelPoint) -> None:
         raise ValueError("vectors live at different base points")
 
 
-def _tangent_array(a, base: StiefelPoint, space: str) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` as a read-only copy in the (dual) tangent space at ``base``,
-    and the read-only x^T a that the check forms."""
-    a = as_matrix(a, f"{space} vector")
-    if a.shape != base.x.shape:
-        raise ValueError(f"shape {a.shape} does not match base {base.x.shape}")
-    return a, _check_tangent(a, base, space)
-
-
-def _check_tangent(a: np.ndarray, base: StiefelPoint, space: str) -> np.ndarray:
-    """The read-only x^T a; raises ValueError unless a is in the (dual)
-    tangent space at ``base``, as any NaN or inf entry makes it not."""
-    xta = base.x.T @ a
+def _check_skew(xta: np.ndarray, space: str) -> None:
+    """Raise ValueError unless the x^T a of an n x k array a is skew to
+    ``INVARIANT_TOL``, that is unless a is in the (dual) tangent space at
+    x. Any NaN or inf entry of a makes it not."""
     skew = frobenius(xta + xta.T)
     if not skew <= INVARIANT_TOL:
         if not math.isfinite(skew):
@@ -209,52 +208,76 @@ def _check_tangent(a: np.ndarray, base: StiefelPoint, space: str) -> np.ndarray:
         raise ValueError(
             f"not in the {space} space: ||a^T x + x^T a||_F = {skew:.3e}"
         )
-    return read_only(xta)
+
+
+def _as_raw(a, base: StiefelPoint) -> np.ndarray:
+    """``a`` as a column-major float64 array of the shape of ``base``'s
+    points: a copy only if ``a`` is not one already, and the same bits
+    downstream whatever its layout."""
+    a = np.asarray(a, dtype=np.float64, order="F")
+    if a.shape != base.x.shape:
+        raise ValueError(f"shape {a.shape} does not match base {base.x.shape}")
+    return a
+
+
+def _wx_buffer(base: StiefelPoint) -> np.ndarray:
+    """An empty column-major n x 2k buffer at ``base``: the [w, x] of a
+    vector there, or the [X, D] of a chord from it."""
+    n, k = base.x.shape
+    return np.empty((n, 2 * k), order="F")
 
 
 @dataclass(frozen=True, eq=False)
 class DualTangentVector:
     """Dual tangent vector w at ``base``: w^T x + x^T w = 0.
 
-    ``xtw`` is the read-only x^T w that the check forms, read by
-    ``dual_metric`` and ``dual_metric_inverse``. ``wx`` ([w, x])
-    and ``system`` ([K | N]) are formed, read-only, on first use by
-    ``cayley_retract``.
+    The vector owns ``wx``, the read-only column-major n x 2k [w, x];
+    ``w`` is a view of its left half. ``wtw`` and ``xtw`` are the
+    read-only w^T w and x^T w of the one product [w, x]^T w formed on
+    construction; x^T w is the check, and is read by ``dual_metric`` and
+    ``dual_metric_inverse``. ``system`` ([K | N]) is formed, read-only, on
+    first use by ``cayley_retract``. The constructor checks ``w`` for
+    non-finite entries and copies it into the buffer.
     """
 
     w: np.ndarray
     base: StiefelPoint
+    wx: np.ndarray = field(init=False, repr=False)
     xtw: np.ndarray = field(init=False, repr=False)
+    wtw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w, xtw = _tangent_array(self.w, self.base, "dual tangent")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "xtw", xtw)
+        w = _as_raw(as_matrix(self.w, "dual tangent vector"), self.base)
+        wx = _wx_buffer(self.base)
+        wx[:, : w.shape[1]] = w
+        self._own(wx)
 
     @classmethod
-    def _fresh(cls, w: np.ndarray, base: StiefelPoint) -> DualTangentVector:
-        """Wrap ``w``, a fresh C-ordered n x k array no one else holds, as
-        a read-only vector at ``base``: no copy and no finiteness scan, but
-        the skew check and its x^T w, as in the constructor."""
+    def _from_buffer(cls, wx: np.ndarray, base: StiefelPoint) -> DualTangentVector:
+        """The vector whose w is the left half of ``wx``, a fresh buffer
+        from ``_wx_buffer`` no one else holds."""
         v = object.__new__(cls)
-        v.__dict__.update(w=read_only(w), base=base,
-                          xtw=_check_tangent(w, base, "dual tangent"))
+        v.__dict__["base"] = base
+        v._own(wx)
         return v
 
-    @_cached
-    def wx(self) -> np.ndarray:
+    def _own(self, wx: np.ndarray) -> None:
+        """Copy x into the right half of ``wx``, whose left half holds w,
+        form [w^T w; x^T w] = [w, x]^T w, check x^T w and freeze both."""
         x = self.base.x
         k = x.shape[1]
-        wx = np.empty((x.shape[0], 2 * k), order="F" if k > 1 else "C")
-        wx[:, :k] = self.w
         wx[:, k:] = x
-        return read_only(wx)
+        gram = wx.T @ wx[:, :k]
+        _check_skew(gram[k:], "dual tangent")
+        read_only(wx)
+        read_only(gram)
+        self.__dict__.update(w=wx[:, :k], wx=wx, xtw=gram[k:], wtw=gram[:k])
 
     @_cached
     def system(self) -> np.ndarray:
         """[K | N] of the Cayley system of the step scale * w (see
         ``_cayley_system``), read-only, with B = x^T w and G = w^T w."""
-        return read_only(_cayley_system(self.base.xtx, self.xtw, self.w.T @ self.w))
+        return read_only(_cayley_system(self.base.xtx, self.xtw, self.wtw))
 
 
 def _cayley_system(q: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -296,20 +319,20 @@ def project_dual(base: StiefelPoint, raw) -> DualTangentVector:
     Idempotent; dual tangent vectors are exactly its fixed points. Raises
     ValueError if ``raw`` or the projection is not finite.
     """
-    w = np.asarray(raw, dtype=np.float64)
+    g = _as_raw(raw, base)
     x = base.x
-    if w.shape != x.shape:
-        raise ValueError(f"shape {w.shape} does not match base {x.shape}")
-    xtw = x.T @ w
-    d = x @ (0.5 * (xtw + xtw.T))  # halving is exact: the bits of 0.5 (x @ ...)
-    np.subtract(w, d, out=d)
-    return DualTangentVector._fresh(d, base)
+    xtg = x.T @ g
+    sym = 0.5 * (xtg + xtg.T)  # halving is exact: the bits of 0.5 (x @ ...)
+    wx = _wx_buffer(base)
+    # X sym as (sym X^T)^T, sym being symmetric
+    np.subtract(g, (sym @ x.T).T, out=wx[:, : x.shape[1]])
+    return DualTangentVector._from_buffer(wx, base)
 
 
 def dual_metric(w1: DualTangentVector, w2: DualTangentVector) -> float:
     """Induced inner product on dual vectors: Tr(w1^T (I + X X^T) w2)."""
     _check_base(w1.base, w2.base)
-    return float(np.vdot(w1.w, w2.w) + np.vdot(w1.xtw, w2.xtw))
+    return inner(w1.w, w2.w) + float(np.vdot(w1.xtw, w2.xtw))
 
 
 def dual_norm(w: DualTangentVector) -> float:
@@ -317,16 +340,23 @@ def dual_norm(w: DualTangentVector) -> float:
     return math.sqrt(dual_metric(w, w))
 
 
+def _check_scale(scale: float) -> None:
+    """Raise ValueError for a NaN or infinite step scale."""
+    if not -math.inf < scale < math.inf:
+        raise ValueError(f"step scale must be finite, got {scale!r}")
+
+
 def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     """Cayley retraction of scale * w from ``w.base``, via a single
     2k x 2k solve.
 
-    scale = 0 returns the base point exactly. The underlying n x n Cayley
-    matrix is nonsingular for every skew generator, and so is the reduced
-    system I + h K of w's [K | N] at h = scale / 2. Its solve fails for a
-    non-finite scale, and in floating point at most for extreme finite
-    ones (a gradient of dual norm 28 was retracted at scales from 1e6 to
-    1e20); a failure surfaces as RetractionFailedError.
+    scale = 0 returns the base point exactly, and a NaN or infinite scale
+    raises ValueError. The underlying n x n Cayley matrix is nonsingular
+    for every skew generator, and so is the reduced system I + h K of w's
+    [K | N] at h = scale / 2. In floating point its solve could fail at
+    most for extreme finite scales (a gradient of dual norm 28 was
+    retracted at scales from 1e6 to 1e20); a failure surfaces as
+    RetractionFailedError.
 
     If the base has an entry below ``TINY`` = 2^-511 (``base.has_tiny``),
     the output's entries below ``TINY`` are set to 0.0: products of
@@ -339,7 +369,8 @@ def cayley_retract(w: DualTangentVector, scale: float) -> StiefelPoint:
     base = w.base
     if scale == 0.0:
         return base
-    r = w.wx @ _cayley_solve(w.system, scale)
+    _check_scale(scale)
+    r = (_cayley_solve(w.system, scale).T @ w.wx.T).T
     r += base.x
     if base.has_tiny:
         _snap_tiny(r)
@@ -364,8 +395,9 @@ def _cayley_solve(kn: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _snap_tiny(r: np.ndarray) -> None:
-    """Set every entry of ``r`` with |r| < ``TINY`` to +0.0, in place."""
-    np.putmask(r, np.abs(r) < TINY, 0.0)
+    """Set every entry of ``r`` with |r| < ``TINY`` to +0.0, in place, in
+    memory order (``np.putmask`` walks a column-major array at a stride)."""
+    np.copyto(r, 0.0, where=np.abs(r) < TINY)
 
 
 def _inverse_coords(q: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -392,6 +424,27 @@ def _inverse_coords(q: np.ndarray, e: np.ndarray) -> np.ndarray:
     return ab
 
 
+def _chord(base: StiefelPoint, target: StiefelPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[X, D] (column-major n x 2k) with X = base.x and D = target.x - X,
+    its Gram [X, D]^T [X, D] from the cached Q = X^T X and the one n-row
+    product [X, D]^T D, and [a; b] from ``_inverse_coords``."""
+    x, y = base.x, target.x
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    k = x.shape[1]
+    xd = _wx_buffer(base)
+    xd[:, :k] = x
+    d = xd[:, k:]
+    np.subtract(y, x, out=d)
+    q = base.xtx
+    gram = np.empty((2 * k, 2 * k))
+    gram[:k, :k] = q
+    gram[:, k:] = xd.T @ d
+    e = gram[:k, k:]
+    gram[k:, :k] = e.T
+    return xd, gram, _inverse_coords(q, e)
+
+
 def retract_inverse(base: StiefelPoint, target: StiefelPoint) -> DualTangentVector:
     """Solve R(X, raise(V)) = Y for the dual vector V at X.
 
@@ -402,13 +455,10 @@ def retract_inverse(base: StiefelPoint, target: StiefelPoint) -> DualTangentVect
     InverseRetractionFailedError when I + X^T Y is singular to working
     precision (points too far apart). No solver calls it.
     """
-    x, y = base.x, target.x
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    k = x.shape[1]
-    d = y - x
-    ab = _inverse_coords(base.xtx, x.T @ d)
-    return DualTangentVector._fresh(x @ ab[:k] + d @ ab[k:], base)
+    xd, _, ab = _chord(base, target)
+    wx = _wx_buffer(base)
+    np.matmul(ab.T, xd.T, out=wx[:, : ab.shape[1]].T)
+    return DualTangentVector._from_buffer(wx, base)
 
 
 def dual_metric_inverse(w: DualTangentVector, target: StiefelPoint) -> float:
@@ -420,7 +470,7 @@ def dual_metric_inverse(w: DualTangentVector, target: StiefelPoint) -> float:
         <W, V>_{g*} = <Y^T W, a + Q a + E b> + <D^T W, b>.
 
     Y^T W and Q are the cached ``w.xtw`` and ``w.base.xtx``; W^T D and E
-    come from the one n-row product [W, Y]^T D with the cached ``w.wx``.
+    come from the one n-row product [W, Y]^T D with the vector's ``wx``.
     No dual vector is formed. Raises InverseRetractionFailedError as
     ``retract_inverse`` does.
     """
@@ -441,7 +491,8 @@ def lerp(base: StiefelPoint, target: StiefelPoint, alpha: float) -> StiefelPoint
     arithmetic, formed in the coordinates of [X, D], D = Y - X.
 
     alpha = 0 gives base, alpha = 1 recovers target; alpha outside [0, 1]
-    extrapolates, which is how the momentum step is realized.
+    extrapolates, which is how the momentum step is realized. A NaN or
+    infinite alpha raises ValueError.
 
     With Q = X^T X and E = X^T D, the projected inverse is V = X a + D b
     with [a; b] from ``_inverse_coords``. So B = X^T V = Q a + E b and
@@ -450,36 +501,22 @@ def lerp(base: StiefelPoint, target: StiefelPoint, alpha: float) -> StiefelPoint
     b (alpha Y_top)] with Y the Cayley system's solution at h = alpha / 2
     (see ``_cayley_system``). The n-row products are [X, D]^T D (E and
     D^T D) and that one n x 2k product; Q is the base's cached ``xtx``.
-    No dual vector is formed.
+    No dual vector is formed, and the output is not snapped (see the
+    module docstring).
 
     Raises InverseRetractionFailedError when I + X^T Y is singular to
     working precision (points too far apart), and RetractionFailedError
-    when the Cayley solve fails. The output is snapped as in
-    ``cayley_retract``.
+    when the Cayley solve fails.
     """
     if alpha == 0.0:
         return base
-    x, y = base.x, target.x
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    n, k = x.shape
-    xd = np.empty((n, 2 * k), order="F")
-    xd[:, :k] = x
-    d = xd[:, k:]
-    np.subtract(y, x, out=d)
-    q = base.xtx
-    gram = np.empty((2 * k, 2 * k))  # [X, D]^T [X, D]
-    gram[:k, :k] = q
-    gram[:, k:] = xd.T @ d
-    e = gram[:k, k:]
-    gram[k:, :k] = e.T
-    ab = _inverse_coords(q, e)
+    _check_scale(alpha)
+    xd, gram, ab = _chord(base, target)
+    k = ab.shape[1]
     gab = gram @ ab  # [X^T V; D^T V]
-    s = _cayley_solve(_cayley_system(q, gab[:k], ab.T @ gab), alpha)
+    s = _cayley_solve(_cayley_system(base.xtx, gab[:k], ab.T @ gab), alpha)
     coef = ab @ s[:k]
     coef[:k] += s[k:]
-    r = xd @ coef
-    r += x
-    if base.has_tiny:
-        _snap_tiny(r)
+    r = (coef.T @ xd.T).T
+    r += base.x
     return StiefelPoint._unchecked(r)

@@ -1,10 +1,13 @@
 """Minimal dense linear algebra surface used by the geometry and solvers.
 
-Matrices are 2-D float64 numpy arrays in row-major (C) order throughout the
-package. ``as_matrix`` and ``as_vector`` turn caller input into checked,
-read-only copies; ``read_only`` is the one place an array is frozen.
-``identity`` and ``frobenius`` are ``np.eye`` and ``np.linalg.norm``
-without their per-call cost, for the small matrices of every pass.
+Matrices are 2-D float64 numpy arrays. Every n x k (and n x 2k) array the
+package makes is in column-major (Fortran) order; the small k x k and
+2k x k blocks stay in the order numpy and LAPACK return them.
+``as_matrix`` and ``as_vector`` turn caller input into checked, read-only
+copies; ``read_only`` is the one place an array is frozen. ``identity``
+and ``frobenius`` are ``np.eye`` and ``np.linalg.norm`` without their
+per-call cost, for the small matrices of every pass, and ``inner`` is the
+dot product of two n x k arrays of one layout, summed in memory order.
 ``qr_thin`` calls numpy's QR. ``solve_square`` calls LAPACK ``dgesv`` from
 scipy's compiled LAPACK module, which ``_load_flapack`` loads without
 running the ``scipy.linalg`` package import: that import costs more than
@@ -60,11 +63,12 @@ dgesv = _load_flapack().dgesv
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Validate user input and return a read-only 2-D float64 copy of it.
+    """Validate user input and return a read-only 2-D float64 copy of it,
+    in column-major order.
 
     Raises ValueError if the input is not 2-D or contains NaN/Inf.
     """
-    a = np.array(data, dtype=np.float64, order="C")
+    a = np.array(data, dtype=np.float64, order="F")
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -104,6 +108,13 @@ def frobenius(a: np.ndarray) -> float:
     inf for non-finite input."""
     v = a.ravel(order="K")
     return math.sqrt(v.dot(v))
+
+
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> = sum of a * b for two arrays of one shape and one memory
+    layout, summed in memory order: ``np.vdot`` without its copy of a
+    column-major array into row-major order."""
+    return float(a.ravel(order="K").dot(b.ravel(order="K")))
 
 
 def solve_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ the sphere. The strictly increasing weights pin the minimizer to actual
 eigenvectors instead of an orthogonal mixture of them.
 
 The value is read from the Euclidean gradient G = A X diag(alpha) that
-the gradient needs anyway, as f = <X, G> / 2 in one BLAS dot. The
+the gradient needs anyway, as f = <X, G> / 2 in one BLAS dot over the
+column-major arrays' memory order (``linalg.inner``). The
 function restart compares f with decreases as small as
 c_R gamma ||grad f||^2, so its rounding matters: with the OpenBLAS that
 numpy bundles, the dot's relative error at random points of size
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NotSymmetricError
 from .geometry import DualTangentVector, StiefelPoint, project_dual
-from .linalg import as_matrix, as_vector, read_only
+from .linalg import as_matrix, as_vector, inner, read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +57,10 @@ class SpectrumInfo:
 @dataclass(frozen=True, eq=False)
 class DiagonalOperator:
     """Diagonal symmetric operator; the fast path used in the experiments.
-    ``apply`` multiplies by an n x k tile of the values, cached per k: the
-    products of broadcasting ``values[:, None]``, in fewer numpy loops."""
+    ``apply`` multiplies by a column-major n x k tile of the values, cached
+    per k: the products of broadcasting ``values[:, None]``, in fewer numpy
+    loops. ``_product`` is ``apply`` before its fresh array is frozen,
+    which ``ObjectiveSpec.value`` scales in place."""
 
     values: np.ndarray
     _tiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -70,16 +73,21 @@ class DiagonalOperator:
         return self.values.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        return read_only(self._product(x))
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
         k = x.shape[1]
         tile = self._tiles.get(k)
         if tile is None:
-            tile = self._tiles[k] = read_only(np.repeat(self.values[:, None], k, axis=1))
+            tile = self._tiles[k] = read_only(_tile(self.values[:, None], x.shape))
         return tile * x
 
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Dense symmetric operator (symmetry checked on construction)."""
+    """Dense symmetric operator (symmetry checked on construction).
+    ``apply`` forms A X as the row-major (X^T A^T)^T, column-major;
+    ``_product`` is that array before it is frozen."""
 
     a: np.ndarray
 
@@ -97,11 +105,22 @@ class DenseOperator:
         return self.a.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.a @ x
+        return read_only(self._product(x))
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        return (x.T @ self.a.T).T
+
+
+def _tile(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``values`` broadcast to a column-major array of ``shape``."""
+    tile = np.empty(shape, order="F")
+    tile[...] = values
+    return tile
 
 
 class ValueRecord(NamedTuple):
-    """f and the Euclidean gradient G = A X diag(alpha) at one point."""
+    """f and the Euclidean gradient G = A X diag(alpha) at one point; G is
+    column-major and read-only."""
 
     value: float
     egrad: np.ndarray
@@ -127,8 +146,8 @@ class ObjectiveSpec:
     """A weighted quadratic objective: symmetric operator plus weights.
 
     ``value`` forms the Euclidean gradient G = A X diag(alpha), multiplying
-    A X by an n x k tile of the weights built once, like the diagonal
-    operator, and returns f = <X, G> / 2 and G as a ``ValueRecord``;
+    A X by a column-major n x k tile of the weights built once, like the
+    diagonal operator, and returns f = <X, G> / 2 and G as a ``ValueRecord``;
     ``value_and_gradient`` handed that record for the same point applies
     nothing and only projects G. No field changes after construction.
     """
@@ -142,7 +161,7 @@ class ObjectiveSpec:
         if w.size > self.operator.n:
             raise ValueError("more weights than operator dimensions")
         object.__setattr__(self, "weights", w)
-        tile = np.repeat(w[None, :], self.operator.n, axis=0)
+        tile = _tile(w, (self.operator.n, w.size))
         object.__setattr__(self, "_weight_tile", read_only(tile))
 
     @property
@@ -162,9 +181,9 @@ class ObjectiveSpec:
                 f"point shape {a.shape} does not match objective "
                 f"({self.n}, {self.k})"
             )
-        g = self.operator.apply(a)  # a fresh array
+        g = self.operator._product(a)  # a fresh array
         g *= self._weight_tile
-        return ValueRecord(0.5 * float(np.vdot(a, g)), g)
+        return ValueRecord(0.5 * inner(a, g), read_only(g))
 
     _evaluate = value  # value_and_gradient's entry, untouched when ``value`` is wrapped
 

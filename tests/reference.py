@@ -64,11 +64,12 @@ from stiefel_agd.errors import (
 from stiefel_agd.geometry import (
     DualTangentVector,
     StiefelPoint,
+    _as_raw,
     _check_base,
-    _tangent_array,
+    _check_skew,
     project_dual,
 )
-from stiefel_agd.linalg import solve_square
+from stiefel_agd.linalg import as_matrix, solve_square
 
 
 # ------------------------------------------------------- Stiefel geometry
@@ -81,7 +82,8 @@ class TangentVector:
     base: StiefelPoint
 
     def __post_init__(self):
-        v, _ = _tangent_array(self.v, self.base, "tangent")
+        v = _as_raw(as_matrix(self.v, "tangent vector"), self.base)
+        _check_skew(self.base.x.T @ v, "tangent")
         object.__setattr__(self, "v", v)
 
 

@@ -52,6 +52,15 @@ def rand_dual(point, rng, norm=None):
     return w
 
 
+def singular_solve(a, b):
+    """Stands in for ``linalg.solve_square`` on a system it finds singular."""
+    raise SingularMatrixError("injected: singular to working precision")
+
+
+def unreachable_solve(a, b):
+    raise AssertionError("a solve was reached")
+
+
 def cayley_1d(w_scalar):
     """Closed-form Cayley transform on the circle for X=(1,0), W=(0,w)."""
     c = 1.0 + w_scalar**2 / 4.0
@@ -61,18 +70,21 @@ def cayley_1d(w_scalar):
 def cayley_smw(base, w, scale):
     """The Cayley retraction as the module docstring writes it: the system
     I + h K with h = scale / 2 and K = [[-B, -Q], [G, B^T]] from the Gram
-    products Q = X^T X, B = X^T W and G = W^T W, assembled blockwise and
+    products Q = X^T X and [G; B] = [W, X]^T W, assembled blockwise and
     solved against N = [Q; -B^T] by LAPACK dgetrf/dgetrs; the point is
-    X + [W, X] (scale Y)."""
+    X + [W, X] (scale Y), formed as the transposed product
+    ((scale Y)^T [W, X]^T)^T."""
     x, wm = base.x, w.w
     k = base.k
     h = 0.5 * scale
-    xtw = x.T @ wm
+    wx = np.asfortranarray(np.concatenate((wm, x), axis=1))
+    gram = wx.T @ wm
+    wtw, xtw = gram[:k], gram[k:]
     xtx = x.T @ x
-    kk = np.block([[-xtw, -xtx], [wm.T @ wm, xtw.T]])
+    kk = np.block([[-xtw, -xtx], [wtw, xtw.T]])
     lu, piv, _ = dgetrf(np.eye(2 * k) + kk * h)
     y, _ = dgetrs(lu, piv, np.concatenate((xtx, -xtw.T)))
-    return x + np.concatenate((wm, x), axis=1) @ (scale * y)
+    return x + ((scale * y).T @ wx.T).T
 
 
 def cayley_step_first(base, w, scale):
@@ -214,7 +226,8 @@ class TestProjectDual:
         checked = DualTangentVector(w.w, x)
         assert np.array_equal(w.w, checked.w) and np.array_equal(w.xtw, checked.xtw)
         assert w.base is x
-        assert w.w.flags.c_contiguous and not w.w.flags.writeable
+        assert np.array_equal(w.wtw, checked.wtw)
+        assert w.w.flags.f_contiguous and not w.w.flags.writeable
         assert not w.xtw.flags.writeable
         raw[0, 0] = 1e6  # the vector does not share the caller's array
         assert np.array_equal(w.w, checked.w)
@@ -223,7 +236,7 @@ class TestProjectDual:
         x = random_point(20, 3, 1)
         raw = np.random.default_rng(2).standard_normal((20, 3))
         w = project_dual(x, np.asfortranarray(raw))
-        assert w.w.flags.c_contiguous
+        assert w.w.flags.f_contiguous
         assert np.array_equal(w.w, project_dual(x, raw).w)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -236,17 +249,20 @@ class TestProjectDual:
             project_dual(x, raw)
 
     def test_skew_check_is_nan_safe(self):
+        # the vectors the package makes are not scanned for NaN and inf
         x = random_point(6, 2, 3)
+        wx = geometry._wx_buffer(x)
+        wx[:, :2] = np.nan
         with pytest.raises(ValueError, match="non-finite entries"):
-            DualTangentVector._fresh(np.full((6, 2), np.nan), x)
+            DualTangentVector._from_buffer(wx, x)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_wx_is_w_then_x_in_fortran_order_for_k_above_1(self, k):
+    def test_wx_is_w_then_x_in_fortran_order(self, k):
         x = random_point(8, k, 0)
         w = rand_dual(x, np.random.default_rng(1))
         assert np.array_equal(w.wx, np.concatenate((w.w, x.x), axis=1))
-        assert w.wx.flags.f_contiguous == (k > 1)
-        assert w.wx.flags.c_contiguous == (k == 1)
+        assert w.wx.flags.f_contiguous
+        assert np.shares_memory(w.w, w.wx)
         assert not w.wx.flags.writeable
 
 
@@ -399,14 +415,19 @@ class TestCayleyRetract:
         assert not r.xtx.flags.writeable
         assert r.orth_error == StiefelPoint(r.x.copy()).orth_error
 
-    def test_singular_solve_raises_retraction_failed(self):
-        # I + h K at a non-finite h holds NaN (0 h) and inf entries, so
-        # LAPACK's pivots are not finite
+    def test_singular_solve_raises_retraction_failed(self, monkeypatch):
         x, w = self.case(12, 3)
+        monkeypatch.setattr(geometry, "solve_square", singular_solve)
+        with pytest.raises(RetractionFailedError) as info:
+            cayley_retract(w, -0.3)
+        assert isinstance(info.value.__cause__, SingularMatrixError)
+
+    def test_non_finite_scale_raises_value_error_before_the_solve(self, monkeypatch):
+        x, w = self.case(12, 3)
+        monkeypatch.setattr(geometry, "solve_square", unreachable_solve)
         for scale in (np.inf, -np.inf, np.nan):
-            with pytest.raises(RetractionFailedError) as info:
+            with pytest.raises(ValueError, match="step scale must be finite"):
                 cayley_retract(w, scale)
-            assert isinstance(info.value.__cause__, SingularMatrixError)
 
     @pytest.mark.parametrize("scale", [-1e8, 1e12, -1e20])
     def test_huge_steps_are_solved(self, scale):
@@ -724,7 +745,7 @@ class TestLerp:
             raise AssertionError("formed a dual vector")
 
         monkeypatch.setattr(geometry.DualTangentVector, "__init__", forbidden)
-        monkeypatch.setattr(geometry.DualTangentVector, "_fresh", forbidden)
+        monkeypatch.setattr(geometry.DualTangentVector, "_from_buffer", forbidden)
         monkeypatch.setattr(geometry, "project_dual", forbidden)
         monkeypatch.setattr(geometry, "retract_inverse", forbidden)
         lerp(x, y, 1.5)
@@ -746,12 +767,30 @@ class TestLerp:
         x = random_point(30, 3, 0)
         return x, cayley_retract(obj.value_and_gradient(x).grad, -0.01)
 
-    def test_singular_cayley_solve_raises_retraction_failed(self):
+    def test_singular_cayley_solve_raises_retraction_failed(self, monkeypatch):
         x, y = self.short_gradient_step()
-        for alpha in (np.inf, np.nan):
-            with pytest.raises(RetractionFailedError) as info:
+        calls = []
+
+        def second_solve_singular(a, b):
+            # the first solve is the inverse's k x k one, the second the
+            # Cayley system's 2k x 2k one
+            calls.append(a.shape)
+            if len(calls) == 2:
+                return singular_solve(a, b)
+            return solve_square(a, b)
+
+        monkeypatch.setattr(geometry, "solve_square", second_solve_singular)
+        with pytest.raises(RetractionFailedError) as info:
+            lerp(x, y, 1.5)
+        assert isinstance(info.value.__cause__, SingularMatrixError)
+        assert calls == [(3, 3), (6, 6)]
+
+    def test_non_finite_alpha_raises_value_error_before_any_solve(self, monkeypatch):
+        x, y = self.short_gradient_step()
+        monkeypatch.setattr(geometry, "solve_square", unreachable_solve)
+        for alpha in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="step scale must be finite"):
                 lerp(x, y, alpha)
-            assert isinstance(info.value.__cause__, SingularMatrixError)
 
     @pytest.mark.parametrize("alpha", [1e9, 1e12, -1e16])
     def test_huge_extrapolations_are_solved(self, alpha):
@@ -768,7 +807,7 @@ class TestLerp:
     def test_output_gram_and_check_match_a_checked_copy(self, n, k):
         x, y = TestRetractInverse.pair(n, k, 47)
         r = lerp(x, y, 1.5)
-        assert not r.x.flags.writeable and r.x.flags.c_contiguous
+        assert not r.x.flags.writeable and r.x.flags.f_contiguous
         assert np.array_equal(r.xtx, r.x.T @ r.x)
         assert r.orth_error == StiefelPoint(r.x.copy()).orth_error
 

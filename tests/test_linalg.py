@@ -233,7 +233,7 @@ class TestAsMatrix:
         a[0, 0] = 5.0
         assert out[0, 0] == 1.0
         assert a.flags.writeable and not out.flags.writeable
-        assert out.flags.c_contiguous and out.dtype == np.float64
+        assert out.flags.f_contiguous and out.dtype == np.float64
 
 
 class TestAsVector:

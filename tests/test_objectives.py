@@ -148,6 +148,24 @@ class TestDiagonalOperator:
             assert np.array_equal(operator.apply(x), values[:, None] * x)
 
 
+class TestDenseOperator:
+    @pytest.mark.parametrize("n, k", [(30, 4), (9, 1), (6, 6), (1, 1)])
+    def test_a_diagonal_matrix_gives_the_diagonal_operators_bits(self, n, k):
+        # each entry of A X has one nonzero term, so the dense product is
+        # exact, as the diagonal operator's one multiplication is
+        values = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        weights = np.arange(1.0, k + 1.0)
+        dense = ObjectiveSpec(DenseOperator(np.diag(values)), weights)
+        diagonal = ObjectiveSpec(DiagonalOperator(values), weights)
+        x = random_point(n, k, k)
+        assert dense.operator.apply(x.x).tobytes() == diagonal.operator.apply(x.x).tobytes()
+        got, want = dense.value_and_gradient(x), diagonal.value_and_gradient(x)
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        assert got.grad.wx.tobytes() == want.grad.wx.tobytes()
+        assert got.grad.wtw.tobytes() == want.grad.wtw.tobytes()
+        assert got.grad.xtw.tobytes() == want.grad.xtw.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on inf and overflow
 class TestNonFiniteGradient:
     def test_nan_point(self):

@@ -426,13 +426,16 @@ def holds_subnormals(a) -> bool:
 class TestSubnormals:
     """GD on sphere ``linear:100`` from ``random_point(100, 1, 0)`` drives
     the entries off the answer geometrically toward zero, past 2^-1022
-    without the snap of ``cayley_retract``."""
+    without the snap of ``cayley_retract``. The momentum methods snap
+    their line-search trials only: ``lerp``'s output is not snapped."""
 
     @staticmethod
-    def run(monkeypatch):
-        """The trace, and how many trial points, gradients w and [w, x]
-        blocks of the line searches hold subnormal entries."""
-        census = {"trial": 0, "w": 0, "wx": 0}
+    def census(monkeypatch):
+        """How many trial points, gradients w, [w, x] blocks of the line
+        searches and ``lerp`` outputs of the solvers hold subnormal
+        entries, counted from here on, and how many ``lerp`` outputs
+        there were."""
+        census = {"trial": 0, "w": 0, "wx": 0, "lerp": 0, "lerps": 0}
 
         def retract(w, scale):
             r = cayley_retract(w, scale)
@@ -441,7 +444,20 @@ class TestSubnormals:
             census["wx"] += holds_subnormals(w.wx)
             return r
 
+        def extrapolate(base, target, alpha):
+            y = geometry.lerp(base, target, alpha)
+            census["lerp"] += holds_subnormals(y.x)
+            census["lerps"] += 1
+            return y
+
         monkeypatch.setattr(solvers, "cayley_retract", retract)
+        monkeypatch.setattr(solvers, "lerp", extrapolate)
+        return census
+
+    @classmethod
+    def run(cls, monkeypatch):
+        """The GD trace, and the census of its run."""
+        census = cls.census(monkeypatch)
         obj = make_objective(parse_spectrum("linear:100"), [1.0])
         trace = gradient_descent(obj, random_point(100, 1, 0), SolverConfig())
         return trace, census
@@ -450,7 +466,18 @@ class TestSubnormals:
         trace, census = self.run(monkeypatch)
         assert trace.termination == CONVERGED
         assert len(trace.records) == 404
-        assert census == {"trial": 0, "w": 0, "wx": 0}
+        assert census == {"trial": 0, "w": 0, "wx": 0, "lerp": 0, "lerps": 0}
+
+    @pytest.mark.parametrize("method", ["agd-function", "agd-gradient"])
+    def test_no_subnormal_reaches_a_momentum_run(self, monkeypatch, method):
+        census = self.census(monkeypatch)
+        for n in (100, 316, 1000):
+            obj = make_objective(parse_spectrum(f"linear:{n}"), [1.0])
+            for seed in range(3):
+                trace = SOLVERS[method](obj, random_point(n, 1, seed), SolverConfig())
+                assert trace.termination == CONVERGED
+        assert census.pop("lerps") > 0
+        assert census == {"trial": 0, "w": 0, "wx": 0, "lerp": 0}
 
     def test_the_snap_changes_no_record(self, monkeypatch):
         snapped, _ = self.run(monkeypatch)

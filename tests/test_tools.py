@@ -143,6 +143,6 @@ def test_percall_times_each_call_at_each_size(percall):
     for times in out["us_per_call"].values():
         assert list(times) == ["value", "trial", "trial_and_gradient",
                                "trial_and_gradient_tiny", "value_and_gradient",
-                               "lerp_and_check", "pairing"]
+                               "gradient", "lerp_and_check", "pairing"]
         assert all(t > 0.0 for t in times.values())
     assert (out["number"], out["repeat"], out["blas_threads"]) == (2, 1, "1")

@@ -19,6 +19,10 @@ For each size n x k in ``SIZES``, on the Brockett cost with eigenvalues
     gradient-descent run;
   * ``value_and_gradient``: the value and gradient at a point with no
     record, which applies the operator;
+  * ``gradient``: ``value_and_gradient`` at a look-ahead point (``lerp``
+    through the point and a trial point with the momentum factor 1.5) with
+    no record, and the first read of the gradient's Cayley system
+    [K | N]: what a momentum pass's gradient costs before its first trial;
   * ``lerp_and_check``: ``lerp`` through the point and a trial point with
     the momentum factor 1.5, and the orthonormality check of the result;
   * ``pairing``: the gradient restart's ``dual_metric_inverse`` of the
@@ -69,7 +73,8 @@ def calls(n: int, k: int) -> dict:
     a = np.random.default_rng(0).standard_normal((n, k))
     a[n - n // 2 :] *= 2.0**-600
     tiny_grad = objective.value_and_gradient(StiefelPoint(qr_thin(a)[0])).grad
-    ahead_grad = objective.value_and_gradient(lerp(x, target, 1.5)).grad
+    ahead = lerp(x, target, 1.5)
+    ahead_grad = objective.value_and_gradient(ahead).grad
 
     def trial():
         objective.value(cayley_retract(grad, -0.01))
@@ -84,6 +89,9 @@ def calls(n: int, k: int) -> dict:
     def value_and_gradient():
         objective.value_and_gradient(x)
 
+    def gradient():
+        objective.value_and_gradient(ahead).grad.system
+
     def lerp_and_check():
         lerp(x, target, 1.5).orth_error
 
@@ -96,6 +104,7 @@ def calls(n: int, k: int) -> dict:
         "trial_and_gradient": trial_and_gradient,
         "trial_and_gradient_tiny": lambda: trial_and_gradient(tiny_grad),
         "value_and_gradient": value_and_gradient,
+        "gradient": gradient,
         "lerp_and_check": lerp_and_check,
         "pairing": pairing,
     }
